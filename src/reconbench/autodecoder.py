@@ -13,7 +13,7 @@ are validated against finite differences in the test suite.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -394,12 +394,6 @@ def view_samples_for_inference(
         pick = np.sort(rng.choice(pts.shape[0], size=max_count, replace=False))
         pts, vals = pts[pick], vals[pick]
     return SdfSamples(pts, vals)
-
-
-def full_scale_config(cfg: TrainConfig | None = None) -> TrainConfig:
-    """The published-scale network: latent 256, eight 512-wide layers."""
-    base = cfg if cfg is not None else TrainConfig()
-    return replace(base, latent_dim=256, hidden=(512,) * 8)
 
 
 # ---------------------------------------------------------------------------

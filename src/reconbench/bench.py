@@ -17,7 +17,6 @@ import dataclasses
 import json
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -217,30 +216,32 @@ def load_view(inst_dir: Path, view: int) -> tuple[DepthImage, CameraModel]:
 
 
 def _instance_samples(inst_dir: Path, cfg: BenchConfig) -> SdfSamples:
-    """SDF samples for one instance, cached beside the mesh."""
-    cache = inst_dir / "sdf_samples.bin"
-    if cache.exists():
-        points, sdf_vals, _ = load_samples(cache)
-        return SdfSamples(points, sdf_vals)
+    """SDF samples for one instance, cached beside the mesh.
+
+    The cache is reused only when its stored header equals the one the
+    current config would write; otherwise the samples are regenerated.
+    """
     meta = _load_meta(inst_dir)
-    mesh = load_obj(inst_dir / "mesh.obj")
     sample_seed = int(
         _rng_for(meta["seed_entropy"], _SEED_SDF).integers(0, 2**63 - 1)
     )
     scfg = cfg.sampling_config(sample_seed)
-    samples = sample_training_set(mesh, scfg)
-    save_samples(
-        cache,
-        samples.points,
-        samples.sdf,
-        {
-            "seed": sample_seed,
-            "total_count": scfg.total_count,
-            "near_surface_fraction": repr(scfg.near_surface_fraction),
-            "surface_noise_sigma": repr(scfg.surface_noise_sigma),
-            "negative_floor_tau": repr(scfg.negative_floor_tau),
-        },
-    )
+    # string values, as load_samples returns them
+    header = {
+        "seed": str(sample_seed),
+        "total_count": str(scfg.total_count),
+        "near_surface_fraction": repr(scfg.near_surface_fraction),
+        "surface_noise_sigma": repr(scfg.surface_noise_sigma),
+        "ball_radius": repr(scfg.ball_radius),
+        "negative_floor_tau": repr(scfg.negative_floor_tau),
+    }
+    cache = inst_dir / "sdf_samples.bin"
+    if cache.exists():
+        points, sdf_vals, stored = load_samples(cache)
+        if stored == header:
+            return SdfSamples(points, sdf_vals)
+    samples = sample_training_set(load_obj(inst_dir / "mesh.obj"), scfg)
+    save_samples(cache, samples.points, samples.sdf, header)
     return samples
 
 
@@ -383,12 +384,10 @@ def run_evaluation(
     categories: Sequence[str],
     methods: Sequence[str],
     cfg: BenchConfig,
-    threads: int = 1,
 ) -> list[EvalRecord]:
     """Reconstruct every test view with every requested method.
 
-    Results come back sorted by (method, category, instance, view) so
-    runs are reproducible regardless of the thread count.
+    Results come back sorted by (method, category, instance, view).
     """
     for m in methods:
         if m not in METHODS:
@@ -405,7 +404,7 @@ def run_evaluation(
     if "mirror_learned" in methods:
         mirror_params = mirror.load_mirror_model(models / "mirror.rbmr")
 
-    jobs = []
+    records = []
     for inst_dir in _instance_dirs(data_dir, categories, "test"):
         meta = _load_meta(inst_dir)
         mesh = load_obj(inst_dir / "mesh.obj")
@@ -414,27 +413,18 @@ def run_evaluation(
         )
         n_views = min(int(meta["views"]), cfg.views_per_test_instance)
         for view in range(n_views):
-            jobs.append(
-                (
-                    inst_dir,
-                    meta["category"],
-                    view,
-                    methods,
-                    cfg,
-                    decoder_params,
-                    decoder_cfg,
-                    mirror_params,
-                    gt_down,
-                    mesh,
-                )
+            records += _evaluate_view(
+                inst_dir,
+                meta["category"],
+                view,
+                methods,
+                cfg,
+                decoder_params,
+                decoder_cfg,
+                mirror_params,
+                gt_down,
+                mesh,
             )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda args: _evaluate_view(*args), jobs))
-    else:
-        chunks = [_evaluate_view(*job) for job in jobs]
-    records = [rec for chunk in chunks for rec in chunk]
     records.sort(
         key=lambda r: (METHODS.index(r.method), r.category, r.instance, r.view)
     )

@@ -51,9 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--config", type=Path, default=None, help="key=value configuration file"
     )
-    common.add_argument(
-        "--threads", type=int, default=1, help="worker threads for evaluation"
-    )
 
     parser = _Parser(prog="reconbench", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -100,8 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_cfg(args) -> BenchConfig:
     if args.seed < 0:
         raise InvalidInputError("--seed must be non-negative")
-    if args.threads < 1:
-        raise InvalidInputError("--threads must be at least 1")
     return load_config(args.config)
 
 
@@ -153,7 +148,7 @@ def _cmd_evaluate(args) -> int:
     methods = _split_list(args.methods)
     if not methods:
         raise InvalidInputError("--methods must name at least one method")
-    records = bench.run_evaluation(args.out, cats, methods, cfg, args.threads)
+    records = bench.run_evaluation(args.out, cats, methods, cfg)
     out_path = Path(args.out) / "results.csv"
     bench.write_results(out_path, records)
     print(f"wrote {len(records)} records to {out_path}")

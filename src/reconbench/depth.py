@@ -2,7 +2,7 @@
 
 Depth values are distances along the camera z axis (not along the ray).
 0.0 marks an invalid pixel.  Rendering is deterministic: it is a single
-vectorized pass whose result does not depend on any thread count.
+vectorized pass of the brute-force first-hit kernel.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from .geometry import (
     PointCloud,
     TriangleMesh,
 )
-from .raycast import TriangleBvh, first_hits
+from .raycast import first_hits
 
 INVALID_DEPTH = 0.0
 
@@ -62,14 +62,10 @@ def _check_camera_outside(mesh: TriangleMesh, cam: CameraModel) -> None:
         )
 
 
-def render_depth(
-    mesh: TriangleMesh, cam: CameraModel, accelerator: str | None = None
-) -> DepthImage:
+def render_depth(mesh: TriangleMesh, cam: CameraModel) -> DepthImage:
     """Render the first-hit depth of a mesh from a pinhole camera.
 
-    Rays pass through pixel centers.  ``accelerator`` may be "bvh" to
-    route intersection through the bounding-box tree; results are
-    identical to the brute-force default.  An empty mesh produces an
+    Rays pass through pixel centers.  An empty mesh produces an
     all-invalid image.
     """
     if len(mesh) == 0:
@@ -77,12 +73,7 @@ def render_depth(
     _check_camera_outside(mesh, cam)
     dirs = cam.pixel_directions().reshape(-1, 3)
     origins = np.broadcast_to(cam.position, dirs.shape)
-    if accelerator is None:
-        t = first_hits(origins, dirs, mesh)
-    elif accelerator == "bvh":
-        t = TriangleBvh(mesh).first_hits(origins, dirs)
-    else:
-        raise InvalidInputError(f"unknown accelerator {accelerator!r}")
+    t = first_hits(origins, dirs, mesh)
     # ray directions have unit z in the camera frame, so t is the z depth
     depth = np.where(np.isfinite(t), t, INVALID_DEPTH)
     return DepthImage(depth.reshape(cam.height, cam.width))

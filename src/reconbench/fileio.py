@@ -25,6 +25,14 @@ def _fr(value) -> str:
     return repr(float(value))
 
 
+def _header_number(cast, text, path):
+    """One numeric header field, or InvalidInputError naming the file."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise InvalidInputError(f"malformed header field {text!r} in {path}") from None
+
+
 # ---------------------------------------------------------------------------
 # meshes
 
@@ -132,8 +140,8 @@ def load_pfm(path) -> np.ndarray:
         dims = fh.readline().split()
         if len(dims) != 2:
             raise InvalidInputError(f"malformed PFM header in {path}")
-        w, h = int(dims[0]), int(dims[1])
-        scale = float(fh.readline().strip())
+        w, h = (_header_number(int, d, path) for d in dims)
+        scale = _header_number(float, fh.readline().strip(), path)
         count = w * h
         raw = fh.read(count * 4)
         if len(raw) != count * 4:
@@ -228,7 +236,7 @@ def load_samples(path) -> tuple[np.ndarray, np.ndarray, dict]:
                 raise InvalidInputError(f"unterminated header in {path}")
             key, _, value = line.partition(" ")
             if key == "count":
-                count = int(value)
+                count = _header_number(int, value, path)
             else:
                 header[key] = value
         if count is None:
@@ -278,12 +286,12 @@ def load_tensors(path, magic: bytes) -> dict[str, np.ndarray]:
             raise InvalidInputError(
                 f"bad magic in {path}: expected {magic!r}, got {got!r}"
             )
-        n = int(fh.readline().decode("ascii").strip())
+        n = _header_number(int, fh.readline().decode("ascii").strip(), path)
         shapes: list[tuple[str, tuple[int, ...]]] = []
         for _ in range(n):
             parts = fh.readline().decode("ascii").split()
             name = parts[0]
-            dims = tuple(int(d) for d in parts[1:])
+            dims = tuple(_header_number(int, d, path) for d in parts[1:])
             if dims == (0,):
                 dims = ()
             shapes.append((name, dims))

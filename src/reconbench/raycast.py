@@ -1,8 +1,7 @@
 """Ray/triangle intersection kernels.
 
-One brute-force vectorized path is the reference everything else is
-judged against.  An axis-aligned bounding-box tree is available as an
-optional accelerator and must return identical first-hit distances.
+Both queries run one brute-force vectorized Moller-Trumbore kernel
+over blocks of rays against every triangle.
 
 Rays carry unnormalized directions; the returned parameter t satisfies
 ``hit = origin + t * direction``.
@@ -105,90 +104,3 @@ def crossing_parity(origins, dirs, mesh: TriangleMesh) -> tuple[np.ndarray, np.n
         parity[s:e] = strict.sum(axis=1) & 1
         suspect[s:e] = (grazing & ok).any(axis=1) | (~ok & loose).any(axis=1)
     return parity, suspect
-
-
-class TriangleBvh:
-    """Median-split AABB tree over triangles.
-
-    Purely an accelerator: ``first_hits`` must agree exactly with the
-    brute-force path because both evaluate the same intersection kernel
-    and a min over hits is order-independent.
-    """
-
-    LEAF_SIZE = 8
-
-    def __init__(self, mesh: TriangleMesh):
-        if len(mesh) == 0:
-            raise InvalidInputError("cannot build a tree over an empty mesh")
-        self.mesh = mesh
-        a, b, c = mesh.corners()
-        self._tri_lo = np.minimum(np.minimum(a, b), c)
-        self._tri_hi = np.maximum(np.maximum(a, b), c)
-        centroids = (a + b + c) / 3.0
-        order = np.arange(len(mesh))
-        self.node_lo: list[np.ndarray] = []
-        self.node_hi: list[np.ndarray] = []
-        self.node_children: list[tuple[int, int]] = []
-        self.node_range: list[tuple[int, int]] = []
-        self.order = order
-        self._build(centroids, 0, len(mesh))
-
-    def _build(self, centroids, start, end) -> int:
-        idx = len(self.node_lo)
-        sub = self.order[start:end]
-        self.node_lo.append(self._tri_lo[sub].min(axis=0))
-        self.node_hi.append(self._tri_hi[sub].max(axis=0))
-        self.node_children.append((-1, -1))
-        self.node_range.append((start, end))
-        if end - start > self.LEAF_SIZE:
-            cen = centroids[sub]
-            axis = int(np.argmax(cen.max(axis=0) - cen.min(axis=0)))
-            local = np.argsort(cen[:, axis], kind="stable")
-            self.order[start:end] = sub[local]
-            mid = start + (end - start) // 2
-            left = self._build(centroids, start, mid)
-            right = self._build(centroids, mid, end)
-            self.node_children[idx] = (left, right)
-        return idx
-
-    def first_hits(self, origins, dirs) -> np.ndarray:
-        origins = np.asarray(origins, dtype=np.float64)
-        dirs = np.asarray(dirs, dtype=np.float64)
-        a, b, c = self.mesh.corners()
-        out = np.full(origins.shape[0], np.inf)
-        lo = np.stack(self.node_lo)
-        hi = np.stack(self.node_hi)
-        for i in range(origins.shape[0]):
-            o = origins[i]
-            d = dirs[i]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                inv = 1.0 / d
-            best = np.inf
-            stack = [0]
-            while stack:
-                node = stack.pop()
-                t0 = (lo[node] - o) * inv
-                t1 = (hi[node] - o) * inv
-                near = np.minimum(t0, t1)
-                far = np.maximum(t0, t1)
-                near = np.where(np.isnan(near), -np.inf, near)
-                far = np.where(np.isnan(far), np.inf, far)
-                enter = near.max()
-                leave = far.min()
-                if enter > leave or leave < T_EPS or enter > best:
-                    continue
-                left, right = self.node_children[node]
-                if left < 0:
-                    s, e = self.node_range[node]
-                    tri = self.order[s:e]
-                    t, u, v, ok = _mt_block(
-                        o[None, :], d[None, :], a[tri], b[tri], c[tri]
-                    )
-                    inside = ok & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t > T_EPS)
-                    t = np.where(inside, t, np.inf)
-                    best = min(best, float(t.min()))
-                else:
-                    stack.append(right)
-                    stack.append(left)
-            out[i] = best
-        return out

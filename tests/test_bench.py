@@ -480,10 +480,9 @@ class TestCli:
         assert main(["gen-data", "--wat", "3"]) == 1
         capsys.readouterr()
 
-    def test_bad_seed_and_threads_rejected(self, tmp_path, capsys):
+    def test_bad_seed_rejected(self, tmp_path, capsys):
         out = str(tmp_path / "ws")
         assert main(["gen-data", "--out", out, "--seed", "-1"]) == 1
-        assert main(["gen-data", "--out", out, "--threads", "0"]) == 1
         capsys.readouterr()
 
     def test_missing_config_file(self, tmp_path, capsys):
@@ -553,6 +552,24 @@ class TestCli:
         assert rep.categories == ("can",)
         text = (ws / "report.txt").read_text()
         assert text.count("*") == len(rep.metrics)
+
+    def test_sample_cache_follows_the_config(self, tmp_path, capsys):
+        small = _write_speed_cfg(tmp_path / "small.cfg")
+        large = tmp_path / "large.cfg"
+        large.write_text(
+            small.read_text().replace("sdf_total_count = 500", "sdf_total_count = 800")
+        )
+        out = str(tmp_path / "ws")
+        gen = ["gen-data", "--out", out, "--config", str(small), "--categories",
+               "can", "--train-count", "1", "--test-count", "1"]
+        assert main(gen) == 0
+        cache = Path(out) / "can" / "train" / "000" / "sdf_samples.bin"
+        sizes = []
+        for cfg in (small, large):
+            assert main(["train-sdf", "--out", out, "--config", str(cfg)]) == 0
+            sizes.append(cache.stat().st_size)
+        assert sizes[0] != sizes[1]
+        capsys.readouterr()
 
     def test_evaluate_rejects_unknown_method(self, tmp_path, capsys):
         cfg = str(_write_speed_cfg(tmp_path / "speed.cfg"))

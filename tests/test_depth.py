@@ -12,7 +12,6 @@ from reconbench.depth import (
 from reconbench.errors import ConfigurationError, InvalidInputError
 from reconbench.fileio import load_camera, load_pfm, save_camera, save_pfm
 from reconbench.geometry import PointCloud, TriangleMesh, camera_looking_at
-from reconbench.raycast import TriangleBvh, first_hits
 from reconbench.sdf import unsigned_distances
 
 
@@ -61,30 +60,10 @@ class TestRender:
         with pytest.raises(ConfigurationError):
             render_depth(unit_sphere, cam)
 
-    def test_unknown_accelerator_rejected(self, unit_sphere, front_camera):
-        with pytest.raises(InvalidInputError):
-            render_depth(unit_sphere, front_camera, accelerator="octree")
-
     def test_render_deterministic(self, unit_sphere, front_camera):
         a = render_depth(unit_sphere, front_camera)
         b = render_depth(unit_sphere, front_camera)
         assert np.array_equal(a.depth, b.depth)
-
-    def test_bvh_matches_brute_force(self, unit_sphere, rng):
-        for _ in range(3):
-            eye = rng.normal(size=3)
-            eye *= (2.0 + rng.uniform(0.0, 1.0)) / np.linalg.norm(eye)
-            cam = camera_looking_at(eye, (0.0, 0.0, 0.0))
-            brute = render_depth(unit_sphere, cam)
-            accel = render_depth(unit_sphere, cam, accelerator="bvh")
-            assert np.array_equal(brute.depth, accel.depth)
-
-    def test_bvh_first_hits_identical_on_random_rays(self, unit_sphere, rng):
-        origins = rng.normal(size=(200, 3)) * 3.0
-        dirs = rng.normal(size=(200, 3))
-        brute = first_hits(origins, dirs, unit_sphere)
-        accel = TriangleBvh(unit_sphere).first_hits(origins, dirs)
-        assert np.array_equal(brute, accel)
 
 
 class TestBackProject:
