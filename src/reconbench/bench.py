@@ -6,9 +6,10 @@ Dataset layout, one directory per instance::
     <out>/<category>/<train|test>/<id>/views/view_00.pfm (+ .cam)
     <out>/<category>/<train|test>/<id>/meta.json
 
-Models land in ``<out>/models/``, evaluation records in
-``<out>/results.csv``, and the aggregated table in ``<out>/report.csv``
-and ``report.txt``.  Generation is deterministic: the same seed writes
+Models land in ``<out>/models/`` beside their per-epoch training loss
+curves (``decoder_losses.json``, ``mirror_losses.json``), evaluation
+records in ``<out>/results.csv``, and the aggregated table in
+``<out>/report.csv`` and ``report.txt``.  Generation is deterministic: the same seed writes
 bit-identical files.
 """
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .fileio import (
     save_obj,
     save_pfm,
     save_samples,
+    write_atomic,
 )
 from .geometry import CameraModel, PointCloud, camera_looking_at, normalize_to_unit_sphere
 from .metrics import chamfer_hausdorff, voxel_downsample, voxel_filter
@@ -218,8 +220,9 @@ def load_view(inst_dir: Path, view: int) -> tuple[DepthImage, CameraModel]:
 def _instance_samples(inst_dir: Path, cfg: BenchConfig) -> SdfSamples:
     """SDF samples for one instance, cached beside the mesh.
 
-    The cache is reused only when its stored header equals the one the
-    current config would write; otherwise the samples are regenerated.
+    The cache is reused only when it loads and its stored header equals
+    the one the current config would write; otherwise the samples are
+    regenerated.
     """
     meta = _load_meta(inst_dir)
     sample_seed = int(
@@ -237,7 +240,10 @@ def _instance_samples(inst_dir: Path, cfg: BenchConfig) -> SdfSamples:
     }
     cache = inst_dir / "sdf_samples.bin"
     if cache.exists():
-        points, sdf_vals, stored = load_samples(cache)
+        try:
+            points, sdf_vals, stored = load_samples(cache)
+        except InvalidInputError:
+            stored = None
         if stored == header:
             return SdfSamples(points, sdf_vals)
     samples = sample_training_set(load_obj(inst_dir / "mesh.obj"), scfg)
@@ -245,9 +251,15 @@ def _instance_samples(inst_dir: Path, cfg: BenchConfig) -> SdfSamples:
     return samples
 
 
+def _save_losses(path: Path, epoch_losses: Sequence[float]) -> None:
+    """The training loss curve, one mean loss per epoch, beside its model."""
+    write_atomic(path, json.dumps({"epoch_losses": list(epoch_losses)}).encode("ascii"))
+
+
 def train_sdf_backend(data_dir, categories, seed: int, cfg: BenchConfig) -> Path:
     """Train the auto-decoder on every training instance; returns the
-    model path (<out>/models/decoder.rbsd)."""
+    model path (<out>/models/decoder.rbsd).  The loss curve goes to
+    <out>/models/decoder_losses.json."""
     dirs = _instance_dirs(data_dir, categories, "train")
     if not dirs:
         raise MissingArtifactError("no training instances found")
@@ -258,13 +270,15 @@ def train_sdf_backend(data_dir, categories, seed: int, cfg: BenchConfig) -> Path
     models.mkdir(exist_ok=True)
     out_path = models / "decoder.rbsd"
     autodecoder.save_decoder(out_path, result.params, result.codes)
+    _save_losses(models / "decoder_losses.json", result.epoch_losses)
     return out_path
 
 
 def train_mirror_backend(data_dir, categories, seed: int, cfg: BenchConfig) -> Path:
     """Build (front, splat, target) pairs from the training views, store
     them as PFM triples, and fit the completion network on the reloaded
-    pairs.  Returns the model path (<out>/models/mirror.rbmr)."""
+    pairs.  Returns the model path (<out>/models/mirror.rbmr); the loss
+    curve goes to <out>/models/mirror_losses.json."""
     dirs = _instance_dirs(data_dir, categories, "train")
     if not dirs:
         raise MissingArtifactError("no training instances found")
@@ -286,6 +300,7 @@ def train_mirror_backend(data_dir, categories, seed: int, cfg: BenchConfig) -> P
     models.mkdir(exist_ok=True)
     out_path = models / "mirror.rbmr"
     mirror.save_mirror_model(out_path, result.params)
+    _save_losses(models / "mirror_losses.json", result.epoch_losses)
     return out_path
 
 

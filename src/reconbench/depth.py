@@ -1,8 +1,10 @@
 """Depth image rendering, back-projection, and point splatting.
 
 Depth values are distances along the camera z axis (not along the ray).
-0.0 marks an invalid pixel.  Rendering is deterministic: it is a single
-vectorized pass of the brute-force first-hit kernel.
+0.0 marks an invalid pixel.  Rendering is deterministic: every pixel ray
+starts at the camera center, so ``raycast.first_hits`` tests each ray
+only against the triangles whose screen-space box covers it, with the
+same depths as testing every triangle.
 """
 from __future__ import annotations
 

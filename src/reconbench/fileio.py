@@ -3,10 +3,13 @@ sidecars, binary signed-distance sample sets, and versioned parameter
 containers for the two reconstruction models.
 
 All binary payloads are little-endian.  Text floats are written with
-repr so that a write/read cycle reproduces the value exactly.
+repr so that a write/read cycle reproduces the value exactly.  Every
+save writes a temporary sibling file and renames it onto the target, so
+an interrupted write never leaves a partial file behind.
 """
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +29,37 @@ def _fr(value) -> str:
 
 
 def _header_number(cast, text, path):
-    """One numeric header field, or InvalidInputError naming the file."""
+    """One numeric header field, or InvalidInputError naming the file.
+    Integer fields are sizes and counts, so they must not be negative."""
     try:
-        return cast(text)
+        value = cast(text)
     except ValueError:
-        raise InvalidInputError(f"malformed header field {text!r} in {path}") from None
+        value = None
+    if value is None or (cast is int and value < 0):
+        raise InvalidInputError(f"malformed header field {text!r} in {path}")
+    return value
+
+
+def _header_line(fh, path) -> str:
+    """The next line of a binary file's text header."""
+    try:
+        return fh.readline().decode("ascii")
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"non-ASCII byte in the header of {path}") from None
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` in one rename: readers see the old
+    file or the whole new one, and a failed write leaves no file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +118,7 @@ def save_obj(path, mesh: TriangleMesh) -> None:
         lines.append(f"v {_fr(v[0])} {_fr(v[1])} {_fr(v[2])}")
     for t in mesh.triangles:
         lines.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}")
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def save_ply(path, cloud: PointCloud) -> None:
@@ -105,7 +134,7 @@ def save_ply(path, cloud: PointCloud) -> None:
     body = "".join(
         f"{_fr(p[0])} {_fr(p[1])} {_fr(p[2])}\n" for p in cloud.points
     )
-    path.write_text(header + body)
+    write_atomic(path, (header + body).encode("ascii"))
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +151,11 @@ def save_pfm(path, depth: np.ndarray) -> None:
     if depth.ndim != 2:
         raise InvalidInputError("depth must be a 2D array")
     h, w = depth.shape
-    with open(path, "wb") as fh:
-        fh.write(b"Pf\n")
-        fh.write(f"{w} {h}\n".encode("ascii"))
-        fh.write(b"-1.0\n")
-        fh.write(np.ascontiguousarray(depth[::-1]).astype("<f4").tobytes())
+    write_atomic(
+        path,
+        f"Pf\n{w} {h}\n-1.0\n".encode("ascii")
+        + np.ascontiguousarray(depth[::-1]).astype("<f4").tobytes(),
+    )
 
 
 def load_pfm(path) -> np.ndarray:
@@ -165,7 +194,7 @@ def save_camera(path, cam: CameraModel) -> None:
         "rotation " + " ".join(_fr(x) for x in r),
         "translation " + " ".join(_fr(x) for x in t),
     ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def load_camera(path) -> CameraModel:
@@ -213,9 +242,7 @@ def save_samples(path, points: np.ndarray, sdf: np.ndarray, header: dict) -> Non
         lines.append(f"{key} {header[key]}")
     lines.append("END")
     blob = np.concatenate([points, sdf[:, None]], axis=1).astype("<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        fh.write(blob)
+    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii") + blob)
 
 
 def load_samples(path) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -223,13 +250,13 @@ def load_samples(path) -> tuple[np.ndarray, np.ndarray, dict]:
     if not path.exists():
         raise MissingArtifactError(f"sample file not found: {path}")
     with open(path, "rb") as fh:
-        first = fh.readline().decode("ascii").strip()
+        first = _header_line(fh, path).strip()
         if first != SAMPLES_MAGIC:
             raise InvalidInputError(f"bad magic in sample file {path}")
         header: dict[str, str] = {}
         count = None
         while True:
-            line = fh.readline().decode("ascii").strip()
+            line = _header_line(fh, path).strip()
             if line == "END":
                 break
             if not line:
@@ -269,11 +296,8 @@ def save_tensors(path, magic: bytes, tensors: dict[str, np.ndarray]) -> None:
         dims = " ".join(str(d) for d in arr.shape) if arr.ndim else "0"
         manifest.append(f"{name} {dims}")
         blobs.append(np.ascontiguousarray(arr).astype("<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(magic + b"\n")
-        fh.write(("\n".join(manifest) + "\nEND\n").encode("ascii"))
-        for blob in blobs:
-            fh.write(blob)
+    head = magic + b"\n" + ("\n".join(manifest) + "\nEND\n").encode("ascii")
+    write_atomic(path, b"".join([head, *blobs]))
 
 
 def load_tensors(path, magic: bytes) -> dict[str, np.ndarray]:
@@ -286,16 +310,18 @@ def load_tensors(path, magic: bytes) -> dict[str, np.ndarray]:
             raise InvalidInputError(
                 f"bad magic in {path}: expected {magic!r}, got {got!r}"
             )
-        n = _header_number(int, fh.readline().decode("ascii").strip(), path)
+        n = _header_number(int, _header_line(fh, path).strip(), path)
         shapes: list[tuple[str, tuple[int, ...]]] = []
         for _ in range(n):
-            parts = fh.readline().decode("ascii").split()
+            parts = _header_line(fh, path).split()
+            if not parts:
+                raise InvalidInputError(f"malformed manifest in {path}")
             name = parts[0]
             dims = tuple(_header_number(int, d, path) for d in parts[1:])
             if dims == (0,):
                 dims = ()
             shapes.append((name, dims))
-        if fh.readline().decode("ascii").strip() != "END":
+        if _header_line(fh, path).strip() != "END":
             raise InvalidInputError(f"malformed manifest in {path}")
         out: dict[str, np.ndarray] = {}
         for name, dims in shapes:

@@ -571,6 +571,55 @@ class TestCli:
         assert sizes[0] != sizes[1]
         capsys.readouterr()
 
+    def test_truncated_sample_cache_is_regenerated(self, tmp_path, capsys):
+        cfg = str(_write_speed_cfg(tmp_path / "speed.cfg"))
+        out = str(tmp_path / "ws")
+        base = ["--out", out, "--config", cfg]
+        gen = ["gen-data", "--categories", "can", "--train-count", "1", "--test-count", "1"]
+        assert main(gen + base) == 0
+        assert main(["train-sdf"] + base) == 0
+        cache = Path(out) / "can" / "train" / "000" / "sdf_samples.bin"
+        whole = cache.read_bytes()
+        # what an interrupted in-place write used to leave behind
+        cache.write_bytes(whole[:300])
+        assert main(["train-sdf"] + base) == 0
+        assert cache.read_bytes() == whole
+        capsys.readouterr()
+
+    def test_training_loss_curves_are_saved(self, tmp_path, capsys, monkeypatch):
+        from reconbench import autodecoder, mirror
+
+        results = {}
+
+        def keep(module, name):
+            train = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                results[name] = train(*args, **kwargs)
+                return results[name]
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        keep(autodecoder, "train_autodecoder")
+        keep(mirror, "train_mirror_model")
+        cfg = str(_write_speed_cfg(tmp_path / "speed.cfg"))
+        out = str(tmp_path / "ws")
+        base = ["--out", out, "--config", cfg]
+        gen = ["gen-data", "--categories", "can", "--train-count", "1", "--test-count", "1"]
+        assert main(gen + base) == 0
+        assert main(["train-sdf"] + base) == 0
+        assert main(["train-mirror"] + base) == 0
+        models = Path(out) / "models"
+        for file, name, epochs in (
+            ("decoder_losses.json", "train_autodecoder", 3),
+            ("mirror_losses.json", "train_mirror_model", 2),
+        ):
+            curve = json.loads((models / file).read_text())["epoch_losses"]
+            assert len(curve) == epochs
+            # the whole curve, so also its last value, the final loss
+            assert curve == results[name].epoch_losses
+        capsys.readouterr()
+
     def test_evaluate_rejects_unknown_method(self, tmp_path, capsys):
         cfg = str(_write_speed_cfg(tmp_path / "speed.cfg"))
         out = str(tmp_path / "ws")
