@@ -31,6 +31,14 @@ from .sdf import (
 
 LatentCode = np.ndarray
 
+# Decoder evaluation runs in row blocks of at most about this many rows
+# so every layer's activations stay in cache.  Blocks start at multiples
+# of _ROW_ALIGN and hold hundreds of rows, which keeps each row on the
+# BLAS kernel one whole-array call gives it: very small blocks, or
+# blocks that cut a matrix-vector kernel's row group, round differently.
+_ROW_BLOCK = 1024
+_ROW_ALIGN = 64
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -118,8 +126,9 @@ def _forward_acts(params: DecoderParams, x: np.ndarray) -> list[np.ndarray]:
     acts = [x]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        pre = acts[-1] @ w.T + b
-        acts.append(pre if i == last else np.tanh(pre))
+        pre = acts[-1] @ w.T
+        pre += b
+        acts.append(pre if i == last else np.tanh(pre, out=pre))
     return acts
 
 
@@ -141,6 +150,25 @@ def _backward(params: DecoderParams, acts: list[np.ndarray], dout: np.ndarray):
     return gw, gb, grad
 
 
+def _input_grad(params: DecoderParams, acts: list[np.ndarray], dout: np.ndarray) -> np.ndarray:
+    """Gradient with respect to the network input only; the third
+    output of ``_backward`` without the weight and bias gradients."""
+    grad = dout
+    for i in range(len(params.weights) - 1, -1, -1):
+        grad = grad @ params.weights[i]
+        if i > 0:
+            grad = grad * (1.0 - acts[i] ** 2)
+    return grad
+
+
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """Near-equal (start, end) blocks of at most about ``_ROW_BLOCK`` rows,
+    each starting at a multiple of ``_ROW_ALIGN``."""
+    count = max(1, -(-n // _ROW_BLOCK))
+    edges = [i * n // count // _ROW_ALIGN * _ROW_ALIGN for i in range(count)] + [n]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _stack_input(z: np.ndarray, points: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     pts = np.asarray(points, dtype=np.float64)
@@ -154,7 +182,21 @@ def _stack_input(z: np.ndarray, points: np.ndarray) -> np.ndarray:
 def decoder_forward(params: DecoderParams, z: LatentCode, points) -> np.ndarray:
     """Predicted signed distance at each point under code z."""
     x = _stack_input(z, np.atleast_2d(np.asarray(points, dtype=np.float64)))
-    return _forward_acts(params, x)[-1][:, 0]
+    out = np.empty(x.shape[0])
+    for s, e in _row_blocks(x.shape[0]):
+        out[s:e] = _forward_acts(params, x[s:e])[-1][:, 0]
+    return out
+
+
+def decoder_gradient(params: DecoderParams, z: LatentCode, points) -> np.ndarray:
+    """Exact gradient of the predicted signed distance with respect to
+    each query point under code z, shape (N, 3)."""
+    x = _stack_input(z, np.atleast_2d(np.asarray(points, dtype=np.float64)))
+    out = np.empty((x.shape[0], 3))
+    for s, e in _row_blocks(x.shape[0]):
+        acts = _forward_acts(params, x[s:e])
+        out[s:e] = _input_grad(params, acts, np.ones((e - s, 1)))[:, params.latent_dim:]
+    return out
 
 
 def decoder_output_gradients(params: DecoderParams, z: LatentCode, point):
@@ -304,7 +346,7 @@ def infer_latent(
         acts = _forward_acts(params, x)
         pred = acts[-1][:, 0]
         _, dpred = _loss_terms(pred, observation.sdf, z[None, :], cfg)
-        _, _, gx = _backward(params, acts, dpred[:, None])
+        gx = _input_grad(params, acts, dpred[:, None])
         gz = gx[:, : params.latent_dim].sum(axis=0)
         gz = gz + 2.0 * cfg.code_prior_weight * z
         vel = cfg.momentum * vel - code_lr * gz
@@ -331,7 +373,10 @@ def reconstruct(
     the extraction took (for the timing comparison)."""
     field_fn = decoder_field(params, z)
     start = time.perf_counter()
-    pts = extract_surface_points(field_fn, grid_resolution, iso_epsilon)
+    pts = extract_surface_points(
+        field_fn, grid_resolution, iso_epsilon,
+        gradient_fn=lambda p: decoder_gradient(params, z, p),
+    )
     elapsed = time.perf_counter() - start
     return PointCloud.from_points(pts, TAG_GENERATED), elapsed
 

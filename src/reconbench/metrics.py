@@ -19,7 +19,11 @@ _LEAF_SIZE = 16
 _BRUTE_FORCE_PAIRS = 500_000_000
 # small workloads use the cancellation-free difference form
 _EXACT_BRUTE_PAIRS = 4_000_000
-_BRUTE_CHUNK = 4_000_000
+# pairs per brute-force block: small enough for the block's temporaries
+# to stay in cache; the row floor keeps BLAS on its matrix-matrix path,
+# whose rounding matches any larger block's
+_BRUTE_CHUNK = 131_072
+_BRUTE_MIN_ROWS = 64
 
 
 def _cloud_points(cloud) -> np.ndarray:
@@ -131,7 +135,7 @@ def _brute_nearest_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     clamp to zero.
     """
     out = np.empty(a.shape[0])
-    block = max(1, _BRUTE_CHUNK // max(1, b.shape[0]))
+    block = max(_BRUTE_MIN_ROWS, _BRUTE_CHUNK // max(1, b.shape[0]))
     exact = a.shape[0] * b.shape[0] <= _EXACT_BRUTE_PAIRS
     bb = None if exact else np.einsum("mk,mk->m", b, b)
     for s in range(0, a.shape[0], block):

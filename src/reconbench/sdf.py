@@ -21,6 +21,8 @@ from .geometry import TriangleMesh, as_points
 from .raycast import crossing_parity
 
 SdfField = Callable[[np.ndarray], np.ndarray]
+# maps (N, 3) points to the field's (N, 3) gradient there
+SdfGradient = Callable[[np.ndarray], np.ndarray]
 
 GRID_RADIUS = 1.1
 GRADIENT_STEP = 1e-4
@@ -309,11 +311,13 @@ def extract_surface_points(
     resolution: int,
     iso_epsilon: float | None = None,
     radius: float = GRID_RADIUS,
+    gradient_fn: SdfGradient | None = None,
 ) -> np.ndarray:
     """Grid points near the zero level set, refined one Newton step.
 
     Grid points with |sdf| <= iso_epsilon are candidates; each moves by
-    p <- p - sdf(p) * g / |g|^2 using a finite-difference gradient g.
+    p <- p - sdf(p) * g / |g|^2 using as g the field's analytic gradient
+    when ``gradient_fn`` is given, else central differences.
     The step is skipped where the gradient is numerically zero (flat
     fields stay put rather than shooting off), and its length is capped
     at iso_epsilon: a unit-gradient field never needs more, so longer
@@ -329,7 +333,10 @@ def extract_surface_points(
     if cand.shape[0] == 0:
         return np.zeros((0, 3))
     values = vals[keep]
-    grad = numeric_gradient(sdf_fn, cand)
+    if gradient_fn is None:
+        grad = numeric_gradient(sdf_fn, cand)
+    else:
+        grad = np.asarray(gradient_fn(cand), dtype=np.float64)
     norm_sq = np.einsum("nk,nk->n", grad, grad)
     movable = np.sqrt(norm_sq) >= GRADIENT_MIN_NORM
     scale = np.where(movable, values / np.where(movable, norm_sq, 1.0), 0.0)

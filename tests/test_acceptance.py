@@ -5,12 +5,15 @@ tolerance it must meet.  The terminal summary prints one PASS/FAIL
 line per criterion (see conftest).  Criteria 7, 8 and 11 train their
 networks from scratch and take a few minutes each.
 """
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import reconbench
 from reconbench.autodecoder import (
     DecoderParams,
     TrainConfig,
@@ -454,6 +457,10 @@ def test_criterion_11_end_to_end_micro_benchmark(tmp_path):
     )
     out = tmp_path / "ws"
     base = ["--out", str(out), "--config", str(cfg_file), "--seed", "0"]
+    # the subprocess imports the same package as this test, installed or not
+    package_root = str(Path(reconbench.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
 
     def run(*stage_args: str) -> subprocess.CompletedProcess:
         proc = subprocess.run(
@@ -461,6 +468,7 @@ def test_criterion_11_end_to_end_micro_benchmark(tmp_path):
             capture_output=True,
             text=True,
             timeout=1500,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         return proc

@@ -6,8 +6,14 @@ import pytest
 from reconbench.autodecoder import (
     DecoderParams,
     TrainConfig,
+    _backward,
+    _forward_acts,
+    _input_grad,
+    _loss_terms,
+    _stack_input,
     decoder_field,
     decoder_forward,
+    decoder_gradient,
     decoder_output_gradients,
     infer_latent,
     init_decoder,
@@ -21,7 +27,16 @@ from reconbench.autodecoder import (
 from reconbench.depth import render_depth
 from reconbench.errors import InvalidInputError
 from reconbench.geometry import TAG_GENERATED
-from reconbench.sdf import SamplingConfig, SdfSamples, sample_training_set, signed_distances
+from reconbench.sdf import (
+    GRID_RADIUS,
+    SamplingConfig,
+    SdfSamples,
+    evaluate_on_grid,
+    extract_surface_points,
+    numeric_gradient,
+    sample_training_set,
+    signed_distances,
+)
 
 
 def rel_err(a: float, b: float) -> float:
@@ -310,6 +325,81 @@ class TestReconstruct:
         assert len(cloud) == 8**3
         assert seconds > 0.0
         assert cloud.count(TAG_GENERATED) == len(cloud)
+
+
+def product_decoder() -> tuple[DecoderParams, np.ndarray]:
+    """A decoder of the benchmark's size (latent 16, hidden 64x3)."""
+    params = init_decoder(TrainConfig(latent_dim=16, hidden=(64, 64, 64)))
+    return params, np.random.default_rng(7).normal(0.0, 0.1, size=16)
+
+
+def infer_latent_full_backward(params, observation, cfg) -> np.ndarray:
+    """Latent inference as written with the full backward pass, which
+    also computes the weight and bias gradients."""
+    z = np.zeros(params.latent_dim)
+    vel = np.zeros_like(z)
+    code_lr = cfg.code_learning_rate
+    for _ in range(cfg.epochs):
+        acts = _forward_acts(params, _stack_input(z, observation.points))
+        _, dpred = _loss_terms(acts[-1][:, 0], observation.sdf, z[None, :], cfg)
+        _, _, gx = _backward(params, acts, dpred[:, None])
+        gz = gx[:, : params.latent_dim].sum(axis=0) + 2.0 * cfg.code_prior_weight * z
+        vel = cfg.momentum * vel - code_lr * gz
+        z = z + vel
+        code_lr *= cfg.lr_decay
+    return z
+
+
+class TestBlockedKernels:
+    @pytest.mark.parametrize("size", [2049, 4099, "grid32", "grid64"])
+    def test_blocked_forward_equals_one_whole_call(self, size, rng):
+        params, z = product_decoder()
+        if isinstance(size, str):
+            pts, _ = evaluate_on_grid(lambda p: np.zeros(len(p)), int(size[4:]))
+        else:
+            pts = rng.uniform(-GRID_RADIUS, GRID_RADIUS, size=(size, 3))
+        whole = _forward_acts(params, _stack_input(z, pts))[-1][:, 0]
+        assert np.array_equal(decoder_forward(params, z, pts), whole)
+
+    def test_input_grad_equals_full_backward(self, rng):
+        params, z = product_decoder()
+        acts = _forward_acts(params, _stack_input(z, rng.normal(size=(500, 3))))
+        dout = rng.normal(size=(500, 1))
+        assert np.array_equal(_input_grad(params, acts, dout), _backward(params, acts, dout)[2])
+
+    def test_analytic_gradient_matches_central_differences(self, rng):
+        params, z = product_decoder()
+        pts = rng.uniform(-GRID_RADIUS, GRID_RADIUS, size=(3000, 3))
+        np.testing.assert_allclose(
+            decoder_gradient(params, z, pts),
+            numeric_gradient(decoder_field(params, z), pts),
+            rtol=1e-6,
+            atol=1e-8,
+        )
+
+    def test_inference_unchanged_by_input_only_backward(self, unit_sphere):
+        params, _ = product_decoder()
+        obs = sample_training_set(unit_sphere, SamplingConfig(total_count=600, seed=3))
+        cfg = TrainConfig(
+            latent_dim=16, hidden=(64, 64, 64), epochs=25, code_learning_rate=0.05,
+            momentum=0.9, lr_decay=0.97, clamp_delta=0.5,
+        )
+        z = infer_latent(params, obs, cfg)
+        assert np.any(z != 0.0)
+        assert np.array_equal(z, infer_latent_full_backward(params, obs, cfg))
+
+    def test_extraction_with_analytic_gradient(self):
+        params, z = product_decoder()
+        field = decoder_field(params, z)
+        central = extract_surface_points(field, 32)
+        exact = extract_surface_points(
+            field, 32, gradient_fn=lambda p: decoder_gradient(params, z, p)
+        )
+        # same candidates in the same order, each refined to within 1e-8
+        assert exact.shape == central.shape and len(exact) > 0
+        assert np.max(np.abs(exact - central)) <= 1e-8
+        cloud, _ = reconstruct(params, z, grid_resolution=32)
+        assert np.array_equal(cloud.points, exact)
 
 
 class TestViewSamples:

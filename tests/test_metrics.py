@@ -12,8 +12,10 @@ from reconbench.geometry import (
     transform_points,
 )
 from reconbench.metrics import (
+    _EXACT_BRUTE_PAIRS,
     KdTree,
     VoxelFilterConfig,
+    _brute_nearest_sq,
     chamfer,
     chamfer_hausdorff,
     hausdorff,
@@ -109,6 +111,38 @@ class TestNearestDistances:
     def test_self_distance_is_zero(self, rng):
         pts = rng.normal(size=(100, 3))
         assert np.array_equal(nearest_distances(pts, pts), np.zeros(100))
+
+
+def brute_nearest_sq_4m_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The chunked scan with 4M-pair blocks and a one-row floor."""
+    out = np.empty(a.shape[0])
+    block = max(1, 4_000_000 // b.shape[0])
+    exact = a.shape[0] * b.shape[0] <= _EXACT_BRUTE_PAIRS
+    bb = np.einsum("mk,mk->m", b, b)
+    for s in range(0, a.shape[0], block):
+        chunk = a[s : s + block]
+        if exact:
+            diff = chunk[:, None, :] - b[None, :, :]
+            out[s : s + block] = np.einsum("nmk,nmk->nm", diff, diff).min(axis=1)
+        else:
+            sq = chunk @ b.T
+            sq *= -2.0
+            sq += bb[None, :]
+            sq += np.einsum("nk,nk->n", chunk, chunk)[:, None]
+            out[s : s + block] = np.maximum(sq.min(axis=1), 0.0)
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, m",
+    [(77, 333), (1000, 2000), (3000, 1000), (10_000, 2_500), (2_500, 10_000), (200, 100_000)],
+)
+def test_small_blocks_match_large_blocks(rng, n, m):
+    # both formula branches; the last case has more reference points
+    # than one block holds pairs
+    a = rng.normal(size=(n, 3))
+    b = rng.normal(size=(m, 3))
+    assert np.array_equal(_brute_nearest_sq(a, b), brute_nearest_sq_4m_blocks(a, b))
 
 
 class TestChamferHausdorff:

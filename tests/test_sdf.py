@@ -247,6 +247,22 @@ class TestExtraction:
         assert pts.shape[0] > 0
         assert np.max(np.linalg.norm(pts, axis=1)) <= np.sqrt(3) * GRID_RADIUS + eps
 
+    def test_gradient_fn_replaces_central_differences(self, monkeypatch):
+        def field(p):
+            return np.linalg.norm(p, axis=1) - 0.7
+
+        central = extract_surface_points(field, 24)
+        monkeypatch.setattr(
+            "reconbench.sdf.numeric_gradient",
+            lambda *a, **k: pytest.fail("central differences used"),
+        )
+        exact = extract_surface_points(
+            field, 24, gradient_fn=lambda p: p / np.linalg.norm(p, axis=1)[:, None]
+        )
+        assert exact.shape == central.shape
+        assert np.max(np.abs(np.linalg.norm(exact, axis=1) - 0.7)) <= 1e-12
+        assert np.max(np.abs(exact - central)) <= 1e-6
+
     def test_mesh_field_end_to_end(self, unit_sphere):
         pts = extract_surface_points(MeshSdf(unit_sphere), 32)
         d = unsigned_distances(pts, unit_sphere)
