@@ -65,8 +65,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.latent_dim < 1 or not self.hidden:
-            raise InvalidInputError("latent_dim and hidden sizes must be positive")
+        if self.latent_dim < 1 or not self.hidden or min(self.hidden) < 1:
+            raise InvalidInputError(
+                f"latent_dim and hidden sizes must be positive: "
+                f"{self.latent_dim}, {self.hidden}"
+            )
         if self.learning_rate <= 0 or self.code_learning_rate <= 0:
             raise InvalidInputError("learning rates must be positive")
         if self.epochs < 0 or self.batch_size < 1:

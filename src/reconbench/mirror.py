@@ -7,9 +7,9 @@ convolutional network can predict from the observed points splatted
 into that virtual view.  Fusing both views' back-projections yields the
 reconstruction, with per-point provenance kept intact.
 
-Convolutions are written out by hand (an im2col fast path checked
-against a per-pixel reference), matching the package's no-framework
-training style.
+Convolutions are written out by hand, matching the package's
+no-framework training style: each layer is one matrix product of its
+weights with im2col columns that span the whole batch.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from pathlib import Path
 
@@ -125,6 +126,8 @@ class MirrorTrainConfig:
     def __post_init__(self):
         if not self.channels or self.channels[-1] != 1:
             raise InvalidInputError("channels must end with a single output")
+        if min(self.channels) < 1:
+            raise InvalidInputError(f"layer widths must be positive: {self.channels}")
         if self.learning_rate <= 0 or self.epochs < 0:
             raise InvalidInputError("bad optimizer settings")
         if not 0.0 <= self.momentum < 1.0:
@@ -150,92 +153,73 @@ def init_mirror_model(
 
 
 def _im2col(x: np.ndarray) -> np.ndarray:
-    """(N, C, H, W) -> (N, C*9, H*W) patches under zero padding."""
-    n, c, h, w = x.shape
+    """(C, N, H, W) -> (C*9, N*H*W) patches under zero padding.
+
+    Row ``(c*3 + ky)*3 + kx`` holds channel ``c`` shifted by
+    ``(ky - 1, kx - 1)``, so the rows line up with the columns of
+    ``w.reshape(out, -1)``; column ``(n*H + y)*W + x`` is pixel
+    ``(y, x)`` of image ``n``.  One copy out of a strided window view.
+    """
+    c, n, h, w = x.shape
     xp = np.pad(x, ((0, 0), (0, 0), (PAD, PAD), (PAD, PAD)))
-    cols = np.empty((n, c, KERNEL * KERNEL, h, w))
-    k = 0
-    for ky in range(KERNEL):
-        for kx in range(KERNEL):
-            cols[:, :, k] = xp[:, :, ky : ky + h, kx : kx + w]
-            k += 1
-    return cols.reshape(n, c * KERNEL * KERNEL, h * w)
-
-
-def _col2im(dcols: np.ndarray, shape) -> np.ndarray:
-    n, c, h, w = shape
-    dxp = np.zeros((n, c, h + 2 * PAD, w + 2 * PAD))
-    dcols = dcols.reshape(n, c, KERNEL * KERNEL, h, w)
-    k = 0
-    for ky in range(KERNEL):
-        for kx in range(KERNEL):
-            dxp[:, :, ky : ky + h, kx : kx + w] += dcols[:, :, k]
-            k += 1
-    return dxp[:, :, PAD : PAD + h, PAD : PAD + w]
+    windows = sliding_window_view(xp, (KERNEL, KERNEL), axis=(2, 3))
+    return windows.transpose(0, 4, 5, 1, 2, 3).reshape(c * KERNEL * KERNEL, n * h * w)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Same-size 3x3 convolution of a (N, C, H, W) batch."""
-    n, c, h, wd = x.shape
-    cols = _im2col(x)
-    flat = w.reshape(w.shape[0], -1)
-    out = np.einsum("of,nfp->nop", flat, cols) + b[None, :, None]
-    return out.reshape(n, w.shape[0], h, wd)
+    """Same-size 3x3 convolution of a (N, C, H, W) batch.
 
-
-def conv2d_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-pixel loop convolution; the oracle the fast path must match."""
-    c_out, c_in, _, _ = w.shape
-    c, h, wd = x.shape
-    if c != c_in:
-        raise InvalidInputError("channel mismatch")
-    out = np.zeros((c_out, h, wd))
-    for co in range(c_out):
-        for y in range(h):
-            for xx in range(wd):
-                acc = b[co]
-                for ci in range(c_in):
-                    for ky in range(KERNEL):
-                        for kx in range(KERNEL):
-                            yy = y + ky - PAD
-                            xs = xx + kx - PAD
-                            if 0 <= yy < h and 0 <= xs < wd:
-                                acc += w[co, ci, ky, kx] * x[ci, yy, xs]
-                out[co, y, xx] = acc
-    return out
+    One matrix product of the flattened kernel with the columns of the
+    whole batch.  The result is a (N, O, H, W) view of a contiguous
+    (O, N, H, W) array, so the next layer's ``_im2col`` reads it
+    without a copy.
+    """
+    n, _, h, wd = x.shape
+    out = w.reshape(w.shape[0], -1) @ _im2col(x.transpose(1, 0, 2, 3))
+    out += b[:, None]
+    return out.reshape(-1, n, h, wd).transpose(1, 0, 2, 3)
 
 
 def _net_forward(params: MirrorModelParams, x: np.ndarray):
-    """Returns (output (N, H, W), cache of layer inputs and pre-acts)."""
+    """Returns (output (N, H, W), every layer's input and output).
+
+    Only activations are kept, not columns: columns are nine times
+    larger per channel, and holding them made every call fault in
+    fresh memory.
+    """
     acts = [x]
-    pres = []
-    cur = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        pre = conv2d(cur, w, b)
-        pres.append(pre)
-        cur = pre if i == last else np.maximum(pre, 0.0)
-        acts.append(cur)
-    return cur[:, 0], (acts, pres)
+        out = conv2d(acts[-1], w, b)
+        if i < last:
+            np.maximum(out, 0.0, out=out)
+        acts.append(out)
+    return acts[-1][:, 0], acts
 
 
-def _net_backward(params: MirrorModelParams, cache, dout: np.ndarray):
-    acts, pres = cache
-    grad = dout[:, None]
+def _net_backward(params: MirrorModelParams, acts, dout: np.ndarray):
+    """Weight and bias gradients from ``_net_forward``'s activations.
+
+    Gradients are (C, N*H*W) and each layer rebuilds its input's
+    columns.  A layer's input gradient is the same-size convolution of
+    its output gradient with the kernel transposed over channels and
+    flipped in space, so it too is one product with ``_im2col``
+    columns.  Layer 0's is not formed.
+    """
+    n, h, wd = dout.shape
+    grad = dout.reshape(1, -1)
+    last = len(params.weights) - 1
     gw = [np.empty(0)] * len(params.weights)
     gb = [np.empty(0)] * len(params.weights)
-    for i in range(len(params.weights) - 1, -1, -1):
-        if i < len(params.weights) - 1:
-            grad = grad * (pres[i] > 0.0)
-        x = acts[i]
-        n, c, h, wd = x.shape
-        cols = _im2col(x)
-        gflat = grad.reshape(n, grad.shape[1], h * wd)
-        gw[i] = np.einsum("nop,nfp->of", gflat, cols).reshape(params.weights[i].shape)
-        gb[i] = gflat.sum(axis=(0, 2))
-        flat = params.weights[i].reshape(params.weights[i].shape[0], -1)
-        dcols = np.einsum("of,nop->nfp", flat, gflat)
-        grad = _col2im(dcols, (n, c, h, wd))
+    for i in range(last, -1, -1):
+        w = params.weights[i]
+        if i < last:
+            grad *= acts[i + 1].transpose(1, 0, 2, 3).reshape(grad.shape) > 0.0
+        gw[i] = (grad @ _im2col(acts[i].transpose(1, 0, 2, 3)).T).reshape(w.shape)
+        gb[i] = grad.sum(axis=1)
+        if i > 0:
+            flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(w.shape[1], -1)
+            grad = flipped @ _im2col(grad.reshape(-1, n, h, wd))
     return gw, gb
 
 
@@ -271,9 +255,9 @@ def training_loss_gradients(
     ``inputs`` is (N, 2, H, W); ``targets`` is (N, H, W).  Exposed for
     the finite-difference gradient validation.
     """
-    out, cache = _net_forward(params, inputs)
+    out, acts = _net_forward(params, inputs)
     loss, dout = masked_l1_loss(out, targets)
-    gw, gb = _net_backward(params, cache, dout)
+    gw, gb = _net_backward(params, acts, dout)
     return loss, gw, gb
 
 

@@ -69,6 +69,11 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             TrainConfig(clamp_delta=0.0)
 
+    def test_non_positive_hidden_width_rejected(self):
+        for hidden in ((64, 0), (-1,), (8, 8, -3)):
+            with pytest.raises(InvalidInputError):
+                TrainConfig(hidden=hidden)
+
 
 class TestInit:
     def test_layer_shapes(self):

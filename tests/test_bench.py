@@ -620,6 +620,24 @@ class TestCli:
             assert curve == results[name].epoch_losses
         capsys.readouterr()
 
+    def test_non_positive_layer_width_is_an_input_error(self, tmp_path, capsys):
+        cfg = _write_speed_cfg(tmp_path / "speed.cfg")
+        out = str(tmp_path / "ws")
+        gen = ["gen-data", "--out", out, "--config", str(cfg), "--categories",
+               "can", "--train-count", "1", "--test-count", "1"]
+        assert main(gen) == 0
+        capsys.readouterr()
+        for key, value, stage in (
+            ("mirror_channels", "8, 0, 1", "train-mirror"),
+            ("mirror_channels", "8, -1, 1", "train-mirror"),
+            ("decoder_hidden", "64, 0", "train-sdf"),
+        ):
+            bad = tmp_path / "bad.cfg"
+            bad.write_text(cfg.read_text() + f"{key} = {value}\n")
+            assert main([stage, "--out", out, "--config", str(bad)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "must be positive" in err
+
     def test_evaluate_rejects_unknown_method(self, tmp_path, capsys):
         cfg = str(_write_speed_cfg(tmp_path / "speed.cfg"))
         out = str(tmp_path / "ws")

@@ -10,13 +10,15 @@ from reconbench.geometry import (
     TAG_OBSERVED,
     camera_looking_at,
 )
+from reconbench import mirror
 from reconbench.mirror import (
+    KERNEL,
+    PAD,
     MirrorModelParams,
     MirrorTrainConfig,
     complete_view_learned,
     complete_view_oracle,
     conv2d,
-    conv2d_reference,
     init_mirror_model,
     learned_completion,
     load_mirror_model,
@@ -34,6 +36,90 @@ from reconbench.mirror import (
     training_loss_gradients,
 )
 from reconbench.shapes import box_mesh, icosphere, merge_meshes
+
+
+def conv2d_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-pixel loop convolution of one (C, H, W) image; the oracle the
+    batched path must match."""
+    c_out, c_in, _, _ = w.shape
+    c, h, wd = x.shape
+    assert c == c_in
+    out = np.zeros((c_out, h, wd))
+    for co in range(c_out):
+        for y in range(h):
+            for xx in range(wd):
+                acc = b[co]
+                for ci in range(c_in):
+                    for ky in range(KERNEL):
+                        for kx in range(KERNEL):
+                            yy = y + ky - PAD
+                            xs = xx + kx - PAD
+                            if 0 <= yy < h and 0 <= xs < wd:
+                                acc += w[co, ci, ky, kx] * x[ci, yy, xs]
+                out[co, y, xx] = acc
+    return out
+
+
+def _einsum_im2col(x):
+    """(N, C, H, W) -> (N, C*9, H*W): the per-image column layout the
+    batched kernels replaced."""
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (PAD, PAD), (PAD, PAD)))
+    cols = np.empty((n, c, KERNEL * KERNEL, h, w))
+    k = 0
+    for ky in range(KERNEL):
+        for kx in range(KERNEL):
+            cols[:, :, k] = xp[:, :, ky : ky + h, kx : kx + w]
+            k += 1
+    return cols.reshape(n, c * KERNEL * KERNEL, h * w)
+
+
+def _einsum_col2im(dcols, shape):
+    n, c, h, w = shape
+    dxp = np.zeros((n, c, h + 2 * PAD, w + 2 * PAD))
+    dcols = dcols.reshape(n, c, KERNEL * KERNEL, h, w)
+    k = 0
+    for ky in range(KERNEL):
+        for kx in range(KERNEL):
+            dxp[:, :, ky : ky + h, kx : kx + w] += dcols[:, :, k]
+            k += 1
+    return dxp[:, :, PAD : PAD + h, PAD : PAD + w]
+
+
+def einsum_loss_gradients(params, inputs, targets):
+    """Loss and gradients through per-image einsum products: a copy of
+    the kernels the batched matrix products replaced."""
+    acts, pres = [inputs], []
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        n, _, h, wd = acts[-1].shape
+        flat = w.reshape(w.shape[0], -1)
+        pre = np.einsum("of,nfp->nop", flat, _einsum_im2col(acts[-1]))
+        pre = (pre + b[None, :, None]).reshape(n, w.shape[0], h, wd)
+        pres.append(pre)
+        acts.append(pre if i == last else np.maximum(pre, 0.0))
+    loss, dout = masked_l1_loss(acts[-1][:, 0], targets)
+    grad = dout[:, None]
+    gw, gb = [None] * len(params.weights), [None] * len(params.weights)
+    for i in range(last, -1, -1):
+        if i < last:
+            grad = grad * (pres[i] > 0.0)
+        n, c, h, wd = acts[i].shape
+        gflat = grad.reshape(n, grad.shape[1], h * wd)
+        cols = _einsum_im2col(acts[i])
+        gw[i] = np.einsum("nop,nfp->of", gflat, cols).reshape(params.weights[i].shape)
+        gb[i] = gflat.sum(axis=(0, 2))
+        flat = params.weights[i].reshape(params.weights[i].shape[0], -1)
+        grad = _einsum_col2im(np.einsum("of,nop->nfp", flat, gflat), (n, c, h, wd))
+    return loss, gw, gb
+
+
+def odd_batch(rng, n=5, h=7, w=13):
+    """Splat-like inputs with holes and targets with invalid pixels."""
+    splat = rng.uniform(0.5, 2.0, size=(n, h, w)) * (rng.random((n, h, w)) > 0.3)
+    inputs = np.stack([splat, (splat > 0.0).astype(np.float64)], axis=1)
+    targets = rng.uniform(0.5, 2.0, size=(n, h, w)) * (rng.random((n, h, w)) > 0.2)
+    return inputs, targets
 
 
 def rel_err(a: float, b: float) -> float:
@@ -117,6 +203,18 @@ class TestConvolution:
             slow = conv2d_reference(x, w, b)
             assert np.max(np.abs(fast - slow)) <= 1e-12
 
+    def test_batched_layout_matches_reference(self, rng):
+        # several images, unequal sides and wide layers: every axis of
+        # the (C*9, N*H*W) columns is exercised
+        for c_in, c_out in ((8, 8), (2, 8), (8, 1), (3, 5)):
+            x = rng.normal(size=(3, c_in, 9, 11))
+            w = rng.normal(size=(c_out, c_in, 3, 3))
+            b = rng.normal(size=c_out)
+            fast = conv2d(x, w, b)
+            assert fast.shape == (3, c_out, 9, 11)
+            for image, out in zip(x, fast):
+                assert np.max(np.abs(out - conv2d_reference(image, w, b))) <= 1e-12
+
     def test_identity_kernel(self, rng):
         x = rng.normal(size=(1, 1, 5, 5))
         w = np.zeros((1, 1, 3, 3))
@@ -147,19 +245,43 @@ class TestLossAndGradients:
             masked_l1_loss(np.ones((1, 2, 2)), np.zeros((1, 2, 2)))
 
     def test_parameter_gradients_match_finite_differences(self):
+        assert self.finite_difference_checks((3, 1)) >= 20
+
+    def test_three_layer_gradients_match_finite_differences(self):
+        # the middle layer's gradient passes through a rectifier mask
+        # and through the columns scattered back by _col2im
+        assert self.finite_difference_checks((4, 3, 1)) >= 20
+
+    def test_matches_per_image_einsum_kernels(self):
+        rng = np.random.default_rng(21)
+        inputs, targets = odd_batch(rng)
+        for seed in (0, 1):
+            params = tiny_net(channels=(8, 8, 1), seed=seed)
+            loss, gw, gb = training_loss_gradients(params, inputs, targets)
+            ref_loss, ref_gw, ref_gb = einsum_loss_gradients(params, inputs, targets)
+            assert loss == pytest.approx(ref_loss, rel=1e-12)
+            for got, ref in zip(gw + gb, ref_gw + ref_gb):
+                assert got.shape == ref.shape
+                assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    @staticmethod
+    def finite_difference_checks(channels) -> int:
         h = 1e-6
         checked = 0
         for seed in range(8):
             rng = np.random.default_rng(seed)
-            params = tiny_net(channels=(3, 1), seed=seed)
+            params = tiny_net(channels=channels, seed=seed)
             inputs = rng.uniform(0.5, 2.0, size=(2, 2, 5, 5))
             targets = rng.uniform(0.5, 2.0, size=(2, 5, 5))
             loss, gw, gb = training_loss_gradients(params, inputs, targets)
-            out, _ = np.broadcast_arrays(
-                mirror_forward(params, inputs[0, 0], inputs[0, 1]), targets[0]
-            )
+            pres, cur = [], inputs
+            for w, b in zip(params.weights, params.biases):
+                pres.append(conv2d(cur, w, b))
+                cur = np.maximum(pres[-1], 0.0)
             # stay away from the L1 and rectifier kinks
-            if np.min(np.abs(out - targets[0])) < 1e-3:
+            if np.min(np.abs(pres[-1][:, 0] - targets)) < 1e-3:
+                continue
+            if any(np.min(np.abs(pre)) < 1e-4 for pre in pres[:-1]):
                 continue
             for li in range(len(params.weights)):
                 w = params.weights[li]
@@ -192,7 +314,7 @@ class TestLossAndGradients:
                 fd = (lp - lm) / (2 * h)
                 assert rel_err(float(gb[li][bi]), fd) <= 1e-4
                 checked += 1
-        assert checked >= 20
+        return checked
 
 
 class TestTraining:
@@ -269,6 +391,28 @@ class TestTraining:
             )
             assert decayed.epoch_losses[-1] <= 0.01
             assert decayed.epoch_losses[-1] < 0.1 * fixed.epoch_losses[-1]
+
+    def test_losses_follow_per_image_einsum_training(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        inputs, targets = odd_batch(rng, n=4, h=11, w=9)
+        pairs = [
+            ((DepthImage(inp[0]), DepthImage(inp[1])), DepthImage(target))
+            for inp, target in zip(inputs, targets)
+        ]
+        cfg = MirrorTrainConfig(channels=(8, 8, 1), epochs=20, lr_decay=0.99, seed=2)
+        result = train_mirror_model(pairs, cfg)
+        monkeypatch.setattr(mirror, "training_loss_gradients", einsum_loss_gradients)
+        ref = train_mirror_model(pairs, cfg)
+        assert len(result.epoch_losses) == 20
+        assert np.allclose(result.epoch_losses, ref.epoch_losses, rtol=1e-9, atol=0.0)
+        assert result.epoch_losses[-1] < result.epoch_losses[0]
+        for got, want in zip(result.params.weights, ref.params.weights):
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    def test_non_positive_widths_rejected(self):
+        for channels in ((8, 0, 1), (8, -1, 1), (0, 1)):
+            with pytest.raises(InvalidInputError):
+                MirrorTrainConfig(channels=channels)
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(InvalidInputError):
