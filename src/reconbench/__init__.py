@@ -51,7 +51,6 @@ from .metrics import (
     chamfer,
     chamfer_hausdorff,
     hausdorff,
-    nearest,
     nearest_distances,
     voxel_downsample,
     voxel_filter,

@@ -54,6 +54,12 @@ _SEED_CAMERAS = 1
 _SEED_SDF = 2
 _SEED_GT = 3
 
+# clamp of latent inference's coarse wide-band pass, which keeps code
+# gradients alive when the initial field is far from the observed surface
+_INFER_COARSE_DELTA = 0.5
+# voxel size both clouds are thinned to before chamfer and hausdorff
+_EVAL_DOWNSAMPLE_VOXEL = 0.02
+
 
 @dataclass(frozen=True)
 class EvalRecord:
@@ -100,9 +106,7 @@ def ring_camera(rng: np.random.Generator, cfg: BenchConfig) -> CameraModel:
             r * np.sin(elevation),
         ]
     )
-    return camera_looking_at(
-        eye, (0.0, 0.0, 0.0), cfg.image_width, cfg.image_height, cfg.vertical_fov_deg
-    )
+    return camera_looking_at(eye, (0.0, 0.0, 0.0), cfg.image_width, cfg.image_height)
 
 
 def _build_instance(entropy: list[int]) -> tuple[ShapeSpec, object, float, np.ndarray]:
@@ -165,8 +169,9 @@ def generate_dataset(
                     "normalize_center": [repr(float(x)) for x in center],
                     "views": n_views,
                 }
-                (inst_dir / "meta.json").write_text(
-                    json.dumps(meta, sort_keys=True, indent=1) + "\n"
+                write_atomic(
+                    inst_dir / "meta.json",
+                    (json.dumps(meta, sort_keys=True, indent=1) + "\n").encode(),
                 )
     manifest = {
         "categories": categories,
@@ -176,8 +181,9 @@ def generate_dataset(
         "views_per_train_instance": cfg.views_per_train_instance,
         "views_per_test_instance": cfg.views_per_test_instance,
     }
-    (out / "dataset.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n"
+    write_atomic(
+        out / "dataset.json",
+        (json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode(),
     )
     return manifest
 
@@ -275,26 +281,22 @@ def train_sdf_backend(data_dir, categories, seed: int, cfg: BenchConfig) -> Path
 
 
 def train_mirror_backend(data_dir, categories, seed: int, cfg: BenchConfig) -> Path:
-    """Build (front, splat, target) pairs from the training views, store
-    them as PFM triples, and fit the completion network on the reloaded
-    pairs.  Returns the model path (<out>/models/mirror.rbmr); the loss
-    curve goes to <out>/models/mirror_losses.json."""
+    """Fit the completion network on ((splat, mask), target) pairs built
+    in memory from the training views.  Returns the model path
+    (<out>/models/mirror.rbmr); the loss curve goes to
+    <out>/models/mirror_losses.json."""
     dirs = _instance_dirs(data_dir, categories, "train")
     if not dirs:
         raise MissingArtifactError("no training instances found")
-    examples = []
+    pairs = []
     for inst_dir in dirs:
         meta = _load_meta(inst_dir)
         mesh = load_obj(inst_dir / "mesh.obj")
         for v in range(int(meta["views"])):
             observed, cam = load_view(inst_dir, v)
             virtual = mirror.mirror_pose(cam, (0.0, 0.0, 0.0))
-            splat, _ = mirror.splat_into_view(observed, cam, virtual)
-            target = render_depth(mesh, virtual)
-            examples.append((observed, splat, target))
-    pairs_dir = Path(data_dir) / "mirror_pairs"
-    mirror.save_training_pairs(pairs_dir, examples)
-    pairs, _ = mirror.load_training_pairs(pairs_dir)
+            splat_and_mask = mirror.splat_into_view(observed, cam, virtual)
+            pairs.append((splat_and_mask, render_depth(mesh, virtual)))
     result = mirror.train_mirror_model(pairs, cfg.mirror_config(seed))
     models = Path(data_dir) / "models"
     models.mkdir(exist_ok=True)
@@ -342,20 +344,18 @@ def _evaluate_view(
                 wide = autodecoder.view_samples_for_inference(
                     observed,
                     cam,
-                    spacing=cfg.infer_spacing,
-                    value_cap=cfg.infer_coarse_delta,
+                    value_cap=_INFER_COARSE_DELTA,
                     max_count=cfg.infer_max_samples,
                 )
                 coarse_cfg = dataclasses.replace(
                     decoder_cfg,
-                    clamp_delta=cfg.infer_coarse_delta,
+                    clamp_delta=_INFER_COARSE_DELTA,
                     epochs=cfg.infer_coarse_steps,
                 )
                 z = autodecoder.infer_latent(decoder_params, wide, coarse_cfg)
             obs = autodecoder.view_samples_for_inference(
                 observed,
                 cam,
-                spacing=cfg.infer_spacing,
                 value_cap=cfg.clamp_delta,
                 max_count=cfg.infer_max_samples,
             )
@@ -377,7 +377,7 @@ def _evaluate_view(
             raise InvalidInputError(
                 f"{method} produced no points on {inst_dir.name} view {view}"
             )
-        pred_down = voxel_downsample(cloud, cfg.eval_downsample_voxel)
+        pred_down = voxel_downsample(cloud, _EVAL_DOWNSAMPLE_VOXEL)
         d_c, d_h = chamfer_hausdorff(pred_down, gt_down)
         records.append(
             EvalRecord(
@@ -424,7 +424,7 @@ def run_evaluation(
         meta = _load_meta(inst_dir)
         mesh = load_obj(inst_dir / "mesh.obj")
         gt_down = voxel_downsample(
-            _ground_truth_cloud(inst_dir, cfg), cfg.eval_downsample_voxel
+            _ground_truth_cloud(inst_dir, cfg), _EVAL_DOWNSAMPLE_VOXEL
         )
         n_views = min(int(meta["views"]), cfg.views_per_test_instance)
         for view in range(n_views):
@@ -453,7 +453,7 @@ def write_results(path, records: Sequence[EvalRecord]) -> None:
             f"{r.method},{r.category},{r.instance},{r.view},"
             f"{r.d_c!r},{r.d_h!r},{r.inference_ms!r},{r.point_count}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_results(path) -> list[EvalRecord]:

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodecoder, bench, mirror
 from .config import BenchConfig, load_config
 from .errors import ConfigurationError, InvalidInputError, MissingArtifactError
-from .fileio import load_obj
+from .fileio import load_obj, write_atomic
 from .shapes import CATEGORIES
 
 
@@ -86,10 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("report", parents=[common], help="aggregate results.csv")
 
-    p = sub.add_parser(
+    sub.add_parser(
         "bench-time", parents=[common], help="compare per-object inference time"
     )
-    p.add_argument("--repetitions", type=int, default=None)
 
     return parser
 
@@ -159,9 +158,9 @@ def _cmd_report(args) -> int:
     _load_cfg(args)
     records = bench.read_results(Path(args.out) / "results.csv")
     rep = bench.report(records)
-    (Path(args.out) / "report.csv").write_text(rep.to_csv())
+    write_atomic(Path(args.out) / "report.csv", rep.to_csv().encode())
     text = rep.to_text()
-    (Path(args.out) / "report.txt").write_text(text)
+    write_atomic(Path(args.out) / "report.txt", text.encode())
     print(text, end="")
     return 0
 
@@ -179,7 +178,6 @@ def _cmd_bench_time(args) -> int:
     mesh = load_obj(inst_dir / "mesh.obj")
     _, cam = bench.load_view(inst_dir, 0)
     latent = np.zeros(decoder_params.latent_dim)
-    reps = args.repetitions if args.repetitions is not None else cfg.bench_repetitions
     result = bench.time_methods(
         mesh,
         cam,
@@ -187,7 +185,7 @@ def _cmd_bench_time(args) -> int:
         mirror_params,
         latent,
         cfg.grid_resolution,
-        reps,
+        cfg.bench_repetitions,
     )
     print(f"mirror completion+fusion median: {result.mirror_ms:.3f} ms")
     print(f"sdf grid-{cfg.grid_resolution} reconstruction median: {result.sdf_ms:.3f} ms")

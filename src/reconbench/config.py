@@ -1,4 +1,9 @@
-"""Benchmark configuration: every default in one place.
+"""Benchmark configuration: one home per setting.
+
+A setting a caller may change lives here as a ``BenchConfig`` field; a
+fixed value lives beside the code that uses it, as a named constant or
+as the default of the library parameter it feeds, so that no value is
+stored twice.
 
 Config files are plain ``key = value`` text (# starts a comment).
 Values are parsed according to the field's default type; integer lists
@@ -17,6 +22,10 @@ from .mirror import MirrorTrainConfig
 from .sdf import SamplingConfig
 
 
+# heavy-ball momentum of decoder training and latent inference
+_DECODER_MOMENTUM = 0.9
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     """Desk-scale defaults for the full pipeline.
@@ -29,7 +38,6 @@ class BenchConfig:
     # rendering
     image_width: int = 64
     image_height: int = 64
-    vertical_fov_deg: float = 60.0
     camera_radius: float = 2.0
     camera_max_elevation_deg: float = 60.0
     views_per_train_instance: int = 5
@@ -37,9 +45,7 @@ class BenchConfig:
 
     # SDF sampling
     sdf_total_count: int = 50_000
-    sdf_near_surface_fraction: float = 0.9
     sdf_noise_sigma: float = 0.02
-    sdf_ball_radius: float = 1.1
     sdf_negative_floor_tau: float | None = None
 
     # auto-decoder
@@ -51,16 +57,12 @@ class BenchConfig:
     decoder_batch_size: int = 256
     clamp_delta: float = 0.1
     code_prior_weight: float = 1e-4
-    decoder_momentum: float = 0.9
     decoder_lr_decay: float = 1.0
 
-    # latent inference from one view; the coarse wide-band pass keeps
-    # code gradients alive when the initial field is far from the
-    # observed surface (zero disables it)
+    # latent inference from one view; a coarse wide-band pass of
+    # infer_coarse_steps runs first (zero disables it)
     infer_steps: int = 300
     infer_coarse_steps: int = 100
-    infer_coarse_delta: float = 0.5
-    infer_spacing: float = 0.05
     infer_max_samples: int = 20_000
 
     # surface extraction
@@ -68,16 +70,14 @@ class BenchConfig:
 
     # mirror completion network
     mirror_channels: tuple[int, ...] = (8, 8, 1)
-    mirror_learning_rate: float = 0.01
     mirror_epochs: int = 200
-    mirror_momentum: float = 0.9
     mirror_lr_decay: float = 1.0
+    # accepted but inert: training uses the views at their rendered size
     mirror_train_image: int = 64
 
     # evaluation
     eval_filter_voxel: float = 0.1
     eval_filter_min_points: int = 2
-    eval_downsample_voxel: float = 0.02
     gt_surface_samples: int = 10_000
 
     # timing benchmark
@@ -88,9 +88,7 @@ class BenchConfig:
     def sampling_config(self, seed: int) -> SamplingConfig:
         return SamplingConfig(
             total_count=self.sdf_total_count,
-            near_surface_fraction=self.sdf_near_surface_fraction,
             surface_noise_sigma=self.sdf_noise_sigma,
-            ball_radius=self.sdf_ball_radius,
             negative_floor_tau=self.sdf_negative_floor_tau,
             seed=seed,
         )
@@ -105,7 +103,7 @@ class BenchConfig:
             batch_size=self.decoder_batch_size,
             clamp_delta=self.clamp_delta,
             code_prior_weight=self.code_prior_weight,
-            momentum=self.decoder_momentum,
+            momentum=_DECODER_MOMENTUM,
             lr_decay=self.decoder_lr_decay,
             seed=seed,
         )
@@ -113,9 +111,7 @@ class BenchConfig:
     def mirror_config(self, seed: int) -> MirrorTrainConfig:
         return MirrorTrainConfig(
             channels=self.mirror_channels,
-            learning_rate=self.mirror_learning_rate,
             epochs=self.mirror_epochs,
-            momentum=self.mirror_momentum,
             lr_decay=self.mirror_lr_decay,
             seed=seed,
         )
@@ -146,8 +142,6 @@ def _parse_value(raw: str, default):
     raw = raw.strip()
     if raw.lower() in ("none", "null"):
         return None
-    if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes")
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float) or default is None:

@@ -319,6 +319,8 @@ class CameraModel:
     pose: RigidTransform = field(default_factory=RigidTransform.identity)
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.fx, self.fy, self.cx, self.cy])):
+            raise InvalidInputError("intrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise InvalidInputError("focal lengths must be positive")
         if self.width <= 0 or self.height <= 0:
@@ -358,6 +360,10 @@ def camera_looking_at(
     The focal length follows from the vertical field of view; the
     principal point sits at the image center.
     """
+    if not 0.0 < vertical_fov_deg < 180.0:
+        raise InvalidInputError(
+            f"vertical_fov_deg must lie in (0, 180), got {vertical_fov_deg}"
+        )
     fy = (height / 2.0) / np.tan(np.deg2rad(vertical_fov_deg) / 2.0)
     rot = look_at_rotation(eye, target)
     pose = RigidTransform(rot, np.asarray(eye, dtype=np.float64))

@@ -24,6 +24,13 @@ _EXACT_BRUTE_PAIRS = 4_000_000
 # whose rounding matches any larger block's
 _BRUTE_CHUNK = 131_072
 _BRUTE_MIN_ROWS = 64
+# past _BRUTE_CHUNK / _BRUTE_MIN_ROWS reference points, the matrix-product
+# form also splits the reference axis, into slices of this many points
+# with the last one taking the remainder: in OpenBLAS, slices narrower
+# than ~200 points, or not a multiple of 8 wide, round differently from
+# the full-width product.  The difference form needs no slices, since its
+# whole scan fits in _EXACT_BRUTE_PAIRS
+_BRUTE_SLICE = _BRUTE_CHUNK // (2 * _BRUTE_MIN_ROWS)
 
 
 def _cloud_points(cloud) -> np.ndarray:
@@ -122,10 +129,6 @@ class KdTree:
         return idx, dist
 
 
-def nearest(tree: KdTree, query) -> tuple[int, float]:
-    return tree.nearest(query)
-
-
 def _brute_nearest_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Min squared distance from each point of a to the set b.
 
@@ -134,10 +137,14 @@ def _brute_nearest_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     product per chunk; cancellation can leave tiny negatives, which
     clamp to zero.
     """
+    m = b.shape[0]
     out = np.empty(a.shape[0])
-    block = max(_BRUTE_MIN_ROWS, _BRUTE_CHUNK // max(1, b.shape[0]))
-    exact = a.shape[0] * b.shape[0] <= _EXACT_BRUTE_PAIRS
-    bb = None if exact else np.einsum("mk,mk->m", b, b)
+    block = max(_BRUTE_MIN_ROWS, _BRUTE_CHUNK // m)
+    exact = a.shape[0] * m <= _EXACT_BRUTE_PAIRS
+    if not exact:
+        bb = np.einsum("mk,mk->m", b, b)
+        width = _BRUTE_SLICE if _BRUTE_MIN_ROWS * m > _BRUTE_CHUNK else m
+        edges = [*range(0, m - width + 1, width), m]
     for s in range(0, a.shape[0], block):
         e = min(a.shape[0], s + block)
         chunk = a[s:e]
@@ -146,11 +153,15 @@ def _brute_nearest_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             sq = np.einsum("nmk,nmk->nm", diff, diff)
             out[s:e] = sq.min(axis=1)
         else:
-            sq = chunk @ b.T
-            sq *= -2.0
-            sq += bb[None, :]
-            sq += np.einsum("nk,nk->n", chunk, chunk)[:, None]
-            out[s:e] = np.maximum(sq.min(axis=1), 0.0)
+            aa = np.einsum("nk,nk->n", chunk, chunk)[:, None]
+            best = np.full(e - s, np.inf)
+            for lo, hi in zip(edges, edges[1:]):
+                sq = chunk @ b[lo:hi].T
+                sq *= -2.0
+                sq += bb[None, lo:hi]
+                sq += aa
+                np.minimum(best, sq.min(axis=1), out=best)
+            out[s:e] = np.maximum(best, 0.0)
     return out
 
 

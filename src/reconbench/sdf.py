@@ -214,16 +214,6 @@ class SdfSamples:
         return cls(np.zeros((0, 3)), np.zeros(0))
 
 
-def concat_samples(parts) -> SdfSamples:
-    parts = [p for p in parts if len(p)]
-    if not parts:
-        return SdfSamples.empty()
-    return SdfSamples(
-        np.concatenate([p.points for p in parts]),
-        np.concatenate([p.sdf for p in parts]),
-    )
-
-
 def sample_training_set(mesh: TriangleMesh, cfg: SamplingConfig) -> SdfSamples:
     """Draw SDF supervision samples around a mesh in its canonical frame.
 

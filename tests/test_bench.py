@@ -24,6 +24,7 @@ from reconbench.cli import main
 from reconbench.config import BenchConfig, apply_preset, load_config
 from reconbench.errors import InvalidInputError, MissingArtifactError
 from reconbench.fileio import load_obj, load_pfm
+from reconbench.sdf import GRID_RADIUS
 from reconbench.shapes import (
     CATEGORIES,
     build_mesh,
@@ -394,6 +395,29 @@ class TestConfig:
         filt = cfg.filter_config()
         assert filt.voxel_size == pytest.approx(cfg.eval_filter_voxel)
         assert filt.min_points_per_voxel == cfg.eval_filter_min_points
+        # fixed values without a config key still reach the sub-configs
+        assert dec.momentum == 0.9
+        assert mir.learning_rate == 0.01
+        assert mir.momentum == 0.9
+        assert samp.near_surface_fraction == 0.9
+        assert samp.ball_radius == GRID_RADIUS
+        cam = ring_camera(np.random.default_rng(0), cfg)
+        assert cam.fy == pytest.approx(cfg.image_height / 2 / np.tan(np.deg2rad(30.0)))
+
+    def test_removed_keys_are_unknown(self):
+        for key in (
+            "vertical_fov_deg",
+            "sdf_near_surface_fraction",
+            "sdf_ball_radius",
+            "decoder_momentum",
+            "infer_coarse_delta",
+            "infer_spacing",
+            "mirror_learning_rate",
+            "mirror_momentum",
+            "eval_downsample_voxel",
+        ):
+            with pytest.raises(InvalidInputError, match="unknown config key"):
+                load_config(overrides={key: "0.5"})
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +502,8 @@ class TestCli:
 
     def test_unknown_flag_is_a_usage_error(self, capsys):
         assert main(["gen-data", "--wat", "3"]) == 1
+        # the repetition count comes from the bench_repetitions key only
+        assert main(["bench-time", "--repetitions", "2"]) == 1
         capsys.readouterr()
 
     def test_bad_seed_rejected(self, tmp_path, capsys):
@@ -500,12 +526,15 @@ class TestCli:
 
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("grib_resolution = 3\n")
-        code = main(
-            ["gen-data", "--out", str(tmp_path / "ws"), "--config", str(cfg)]
-        )
-        assert code == 1
-        capsys.readouterr()
+        # a typo, and a key that no longer exists
+        for line in ("grib_resolution = 3\n", "vertical_fov_deg = 0\n"):
+            cfg.write_text(line)
+            code = main(
+                ["gen-data", "--out", str(tmp_path / "ws"), "--config", str(cfg)]
+            )
+            assert code == 1
+            assert "unknown config key" in capsys.readouterr().err
+        assert not (tmp_path / "ws").exists()
 
     def test_stages_require_artifacts(self, tmp_path, capsys):
         out = str(tmp_path / "ws")
@@ -619,6 +648,37 @@ class TestCli:
             # the whole curve, so also its last value, the final loss
             assert curve == results[name].epoch_losses
         capsys.readouterr()
+
+    def test_mirror_trains_on_pairs_built_in_memory(self, tmp_path, capsys):
+        from reconbench import bench, mirror
+        from reconbench.depth import render_depth
+
+        cfg_path = _write_speed_cfg(tmp_path / "speed.cfg")
+        cfg_path.write_text(
+            cfg_path.read_text() + "views_per_train_instance = 2\nmirror_channels = 4, 1\n"
+        )
+        out = tmp_path / "ws"
+        base = ["--out", str(out), "--config", str(cfg_path), "--seed", "5"]
+        gen = ["gen-data", "--categories", "can,mug", "--train-count", "1",
+               "--test-count", "0"]
+        assert main(gen + base) == 0
+        assert main(["train-mirror"] + base) == 0
+        capsys.readouterr()
+        assert not (out / "mirror_pairs").exists()
+
+        pairs = []
+        for category in ("can", "mug"):
+            inst_dir = out / category / "train" / "000"
+            mesh = load_obj(inst_dir / "mesh.obj")
+            for v in range(2):
+                observed, cam = bench.load_view(inst_dir, v)
+                virtual = mirror.mirror_pose(cam, (0.0, 0.0, 0.0))
+                splat_and_mask = mirror.splat_into_view(observed, cam, virtual)
+                pairs.append((splat_and_mask, render_depth(mesh, virtual)))
+        result = mirror.train_mirror_model(pairs, load_config(cfg_path).mirror_config(5))
+        expected = tmp_path / "expected.rbmr"
+        mirror.save_mirror_model(expected, result.params)
+        assert (out / "models" / "mirror.rbmr").read_bytes() == expected.read_bytes()
 
     def test_non_positive_layer_width_is_an_input_error(self, tmp_path, capsys):
         cfg = _write_speed_cfg(tmp_path / "speed.cfg")

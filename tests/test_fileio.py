@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from reconbench import fileio
+from reconbench.bench import EvalRecord, write_results
 from reconbench.errors import InvalidInputError
 from reconbench.fileio import (
     DECODER_MAGIC,
@@ -78,3 +79,15 @@ def test_interrupted_save_leaves_no_file(tmp_path, monkeypatch, save):
     with pytest.raises(OSError, match="no space"):
         save(path)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_interrupted_results_write_keeps_the_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "results.csv"
+    row = EvalRecord("deepsdf", "mug", "000", 0, 0.1, 0.2, 3.5, 1000)
+    write_results(path, [row])
+    before = path.read_bytes()
+    monkeypatch.setattr(fileio, "open", _interrupted_open, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        write_results(path, [row, row])
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]

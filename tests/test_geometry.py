@@ -213,6 +213,19 @@ class TestLookAt:
         z_comp = dirs @ forward
         assert np.allclose(z_comp, 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("fov", [0.0, -5.0, 180.0, np.nan, np.inf])
+    def test_field_of_view_outside_open_interval_rejected(self, fov):
+        # 0 would give an infinite focal length and 180 a near-zero one
+        with pytest.raises(InvalidInputError, match="vertical_fov_deg"):
+            camera_looking_at((0.0, 0.0, 2.0), (0.0, 0.0, 0.0), vertical_fov_deg=fov)
+
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_intrinsics_rejected(self, field, value):
+        intrinsics = {"fx": 50.0, "fy": 50.0, "cx": 32.0, "cy": 32.0, field: value}
+        with pytest.raises(InvalidInputError, match="finite"):
+            CameraModel(**intrinsics, width=64, height=64)
+
 
 class TestMeshFiles:
     def test_obj_round_trip_exact(self, tmp_path, rng):

@@ -19,7 +19,6 @@ from reconbench.metrics import (
     chamfer,
     chamfer_hausdorff,
     hausdorff,
-    nearest,
     nearest_distances,
     voxel_downsample,
     voxel_filter,
@@ -82,12 +81,6 @@ class TestKdTree:
             assert idx[k] == si
             assert dist[k] == sd
 
-    def test_module_level_helper(self, rng):
-        ref = rng.normal(size=(20, 3))
-        tree = KdTree(ref)
-        q = rng.normal(size=3)
-        assert nearest(tree, q) == tree.nearest(q)
-
 
 class TestNearestDistances:
     def test_accepts_point_clouds(self, rng):
@@ -135,11 +128,13 @@ def brute_nearest_sq_4m_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize(
     "n, m",
-    [(77, 333), (1000, 2000), (3000, 1000), (10_000, 2_500), (2_500, 10_000), (200, 100_000)],
+    [(77, 333), (1000, 2000), (3000, 1000), (10_000, 2_500), (2_500, 10_000), (200, 100_000),
+     (3000, 3000), (5000, 2500), (2049, 4099), (30, 140_000)],
 )
 def test_small_blocks_match_large_blocks(rng, n, m):
-    # both formula branches; the last case has more reference points
-    # than one block holds pairs
+    # both formula branches; past 2048 reference points the product form
+    # also slices the reference cloud, the last slice taking the remainder
+    # (4099 = 3 x 1024 + 1027); 30 query rows are fewer than the row floor
     a = rng.normal(size=(n, 3))
     b = rng.normal(size=(m, 3))
     assert np.array_equal(_brute_nearest_sq(a, b), brute_nearest_sq_4m_blocks(a, b))

@@ -10,7 +10,6 @@ from reconbench.sdf import (
     MeshSdf,
     SamplingConfig,
     SdfSamples,
-    concat_samples,
     default_iso_epsilon,
     evaluate_on_grid,
     extract_surface_points,
@@ -159,13 +158,6 @@ class TestSampling:
     def test_samples_validation(self):
         with pytest.raises(InvalidInputError):
             SdfSamples(np.zeros((3, 3)), np.zeros(2))
-
-    def test_concat(self):
-        a = SdfSamples(np.zeros((2, 3)), np.zeros(2))
-        b = SdfSamples(np.ones((3, 3)), np.ones(3))
-        c = concat_samples([a, SdfSamples.empty(), b])
-        assert len(c) == 5
-        assert c.sdf.tolist() == [0, 0, 1, 1, 1]
 
 
 class TestGrid:
