@@ -59,7 +59,9 @@ def main() -> None:
     z = infer_latent(result.params, narrow, stage(300, 0.1), init=z)
     print(f"held-out radius {HELD_OUT}: inferred code {np.array2string(z, precision=3)}")
 
-    cloud, seconds = reconstruct(result.params, z, grid_resolution=48)
+    start = time.perf_counter()
+    cloud = reconstruct(result.params, z, grid_resolution=48)
+    seconds = time.perf_counter() - start
     g = np.random.default_rng(0).normal(size=(5000, 3))
     truth = PointCloud.from_points(HELD_OUT * g / np.linalg.norm(g, axis=1)[:, None])
     print(f"reconstructed {len(cloud)} points in {seconds:.2f}s, "

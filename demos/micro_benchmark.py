@@ -50,7 +50,6 @@ def main() -> None:
         "grid_resolution = 24\n"
         "mirror_channels = 8,1\n"
         "mirror_epochs = 100\n"
-        "mirror_train_image = 32\n"
         "gt_surface_samples = 2000\n"
         "bench_repetitions = 3\n"
     )

@@ -37,9 +37,10 @@ def main() -> None:
     for radius in (0.25, 0.8):
         mesh = icosphere(3, radius)
         cam = camera_looking_at((0.0, 1.3, 1.5), (0.0, 0.0, 0.0), 96, 96, 60.0)
-        fused, seconds = reconstruct_view_dependent(
-            render_depth(mesh, cam), cam, oracle_completion(mesh)
-        )
+        observed = render_depth(mesh, cam)
+        start = time.perf_counter()
+        fused = reconstruct_view_dependent(observed, cam, oracle_completion(mesh))
+        seconds = time.perf_counter() - start
         truth = PointCloud.from_points(mesh.sample_surface(8000, np.random.default_rng(3)))
         distance = np.linalg.norm(cam.position)
         blind = np.degrees(np.pi - 2 * np.arccos(radius / distance))

@@ -12,7 +12,6 @@ are validated against finite differences in the test suite.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -367,21 +366,14 @@ def latent_inference_loss(
 
 
 def reconstruct(
-    params: DecoderParams,
-    z: LatentCode,
-    grid_resolution: int = 64,
-    iso_epsilon: float | None = None,
-) -> tuple[PointCloud, float]:
-    """Surface points of the decoded field, plus the wall-clock seconds
-    the extraction took (for the timing comparison)."""
-    field_fn = decoder_field(params, z)
-    start = time.perf_counter()
+    params: DecoderParams, z: LatentCode, grid_resolution: int = 64
+) -> PointCloud:
+    """Surface points of the decoded field, tagged generated."""
     pts = extract_surface_points(
-        field_fn, grid_resolution, iso_epsilon,
+        decoder_field(params, z), grid_resolution,
         gradient_fn=lambda p: decoder_gradient(params, z, p),
     )
-    elapsed = time.perf_counter() - start
-    return PointCloud.from_points(pts, TAG_GENERATED), elapsed
+    return PointCloud.from_points(pts, TAG_GENERATED)
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,45 @@ def _ground_truth_cloud(inst_dir: Path, cfg: BenchConfig) -> PointCloud:
     return PointCloud.from_points(mesh.sample_surface(cfg.gt_surface_samples, rng))
 
 
+def _timed(fn, *args):
+    """``(fn(*args), wall ms)``: the package's one clock, read for both
+    ``evaluate``'s ``inference_ms`` and ``bench-time``'s medians."""
+    start = time.perf_counter()
+    result = fn(*args)
+    return result, (time.perf_counter() - start) * 1e3
+
+
+def _infer_and_decode(
+    observed: DepthImage, cam: CameraModel, cfg: BenchConfig, decoder_params, decoder_cfg
+) -> PointCloud:
+    """deepsdf on one view: latent inference, then grid decoding."""
+    z = None
+    if cfg.infer_coarse_steps > 0:
+        # wide-band pass first: with a narrow clamp the loss has
+        # no gradient wherever the current field is further than
+        # clamp_delta from the observations
+        wide = autodecoder.view_samples_for_inference(
+            observed,
+            cam,
+            value_cap=_INFER_COARSE_DELTA,
+            max_count=cfg.infer_max_samples,
+        )
+        coarse_cfg = dataclasses.replace(
+            decoder_cfg,
+            clamp_delta=_INFER_COARSE_DELTA,
+            epochs=cfg.infer_coarse_steps,
+        )
+        z = autodecoder.infer_latent(decoder_params, wide, coarse_cfg)
+    obs = autodecoder.view_samples_for_inference(
+        observed,
+        cam,
+        value_cap=cfg.clamp_delta,
+        max_count=cfg.infer_max_samples,
+    )
+    z = autodecoder.infer_latent(decoder_params, obs, decoder_cfg, init=z)
+    return autodecoder.reconstruct(decoder_params, z, cfg.grid_resolution)
+
+
 def _evaluate_view(
     inst_dir: Path,
     category: str,
@@ -335,42 +374,16 @@ def _evaluate_view(
         if method not in methods:
             continue
         if method == "deepsdf":
-            start = time.perf_counter()
-            z = None
-            if cfg.infer_coarse_steps > 0:
-                # wide-band pass first: with a narrow clamp the loss has
-                # no gradient wherever the current field is further than
-                # clamp_delta from the observations
-                wide = autodecoder.view_samples_for_inference(
-                    observed,
-                    cam,
-                    value_cap=_INFER_COARSE_DELTA,
-                    max_count=cfg.infer_max_samples,
-                )
-                coarse_cfg = dataclasses.replace(
-                    decoder_cfg,
-                    clamp_delta=_INFER_COARSE_DELTA,
-                    epochs=cfg.infer_coarse_steps,
-                )
-                z = autodecoder.infer_latent(decoder_params, wide, coarse_cfg)
-            obs = autodecoder.view_samples_for_inference(
-                observed,
-                cam,
-                value_cap=cfg.clamp_delta,
-                max_count=cfg.infer_max_samples,
+            cloud, ms = _timed(
+                _infer_and_decode, observed, cam, cfg, decoder_params, decoder_cfg
             )
-            z = autodecoder.infer_latent(decoder_params, obs, decoder_cfg, init=z)
-            cloud, _ = autodecoder.reconstruct(
-                decoder_params, z, cfg.grid_resolution
-            )
-            elapsed = time.perf_counter() - start
         else:
             if method == "mirror_oracle":
                 completion = mirror.oracle_completion(mesh)
             else:
                 completion = mirror.learned_completion(mirror_params)
-            cloud, elapsed = mirror.reconstruct_view_dependent(
-                observed, cam, completion, (0.0, 0.0, 0.0)
+            cloud, ms = _timed(
+                mirror.reconstruct_view_dependent, observed, cam, completion
             )
             cloud = voxel_filter(cloud, cfg.filter_config())
         if len(cloud) == 0:
@@ -387,7 +400,7 @@ def _evaluate_view(
                 view=view,
                 d_c=d_c,
                 d_h=d_h,
-                inference_ms=max(elapsed * 1e3, 1e-6),
+                inference_ms=max(ms, 1e-6),
                 point_count=len(cloud),
             )
         )
@@ -610,7 +623,7 @@ class TimingResult:
 
 
 def time_methods(
-    mesh,
+    observed: DepthImage,
     cam: CameraModel,
     decoder_params: autodecoder.DecoderParams,
     mirror_params: mirror.MirrorModelParams,
@@ -618,25 +631,23 @@ def time_methods(
     grid_resolution: int = 64,
     repetitions: int = 5,
 ) -> TimingResult:
-    """Median single-threaded wall time per object for both methods.
+    """Median single-threaded wall time per object for both methods on
+    the depth image ``observed``, taken by camera ``cam``.
 
     Mirror time covers learned completion plus fusion; SDF time covers
-    one grid reconstruction with the latent held fixed.  Disk access
-    stays outside the clocks.
+    one grid reconstruction with the latent held fixed.  Nothing is
+    read or rendered here, so no disk access or rendering is timed.
     """
     if repetitions < 1:
         raise InvalidInputError("repetitions must be at least 1")
-    observed = render_depth(mesh, cam)
     completion = mirror.learned_completion(mirror_params)
     mirror_times = []
     sdf_times = []
     for _ in range(repetitions):
-        _, secs = mirror.reconstruct_view_dependent(
-            observed, cam, completion, (0.0, 0.0, 0.0)
-        )
-        mirror_times.append(secs * 1e3)
-        _, secs = autodecoder.reconstruct(decoder_params, latent, grid_resolution)
-        sdf_times.append(secs * 1e3)
+        _, ms = _timed(mirror.reconstruct_view_dependent, observed, cam, completion)
+        mirror_times.append(ms)
+        _, ms = _timed(autodecoder.reconstruct, decoder_params, latent, grid_resolution)
+        sdf_times.append(ms)
     return TimingResult(
         mirror_ms=statistics.median(mirror_times),
         sdf_ms=statistics.median(sdf_times),

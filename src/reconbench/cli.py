@@ -24,7 +24,7 @@ import numpy as np
 from . import autodecoder, bench, mirror
 from .config import BenchConfig, load_config
 from .errors import ConfigurationError, InvalidInputError, MissingArtifactError
-from .fileio import load_obj, write_atomic
+from .fileio import write_atomic
 from .shapes import CATEGORIES
 
 
@@ -175,11 +175,10 @@ def _cmd_bench_time(args) -> int:
     inst_dir = Path(args.out) / category / "test" / "000"
     if not inst_dir.exists():
         raise MissingArtifactError(f"no test instance at {inst_dir}")
-    mesh = load_obj(inst_dir / "mesh.obj")
-    _, cam = bench.load_view(inst_dir, 0)
+    observed, cam = bench.load_view(inst_dir, 0)
     latent = np.zeros(decoder_params.latent_dim)
     result = bench.time_methods(
-        mesh,
+        observed,
         cam,
         decoder_params,
         mirror_params,

@@ -8,10 +8,12 @@ stored twice.
 Config files are plain ``key = value`` text (# starts a comment).
 Values are parsed according to the field's default type; integer lists
 such as hidden layer widths are comma separated, and ``none`` clears an
-optional value.  Unknown keys are rejected so typos fail loudly.
+optional value.  Non-finite floats (``nan``, ``inf``) and unknown keys
+are rejected so mistakes fail loudly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -72,8 +74,6 @@ class BenchConfig:
     mirror_channels: tuple[int, ...] = (8, 8, 1)
     mirror_epochs: int = 200
     mirror_lr_decay: float = 1.0
-    # accepted but inert: training uses the views at their rendered size
-    mirror_train_image: int = 64
 
     # evaluation
     eval_filter_voxel: float = 0.1
@@ -145,7 +145,10 @@ def _parse_value(raw: str, default):
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float) or default is None:
-        return float(raw)
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError("not a finite number")
+        return value
     if isinstance(default, tuple):
         return tuple(int(x) for x in raw.replace(",", " ").split())
     return raw

@@ -13,7 +13,6 @@ weights with im2col columns that span the whole batch.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -362,26 +361,20 @@ def make_training_pair(
 
 
 def reconstruct_view_dependent(
-    observed: DepthImage,
-    cam: CameraModel,
-    completion: CompletionFn,
-    object_center=(0.0, 0.0, 0.0),
-) -> tuple[PointCloud, float]:
+    observed: DepthImage, cam: CameraModel, completion: CompletionFn
+) -> PointCloud:
     """Fuse the observed view with its completed mirror view.
 
-    Observed pixels become points tagged observed; completed pixels
-    become points tagged generated.  Also returns the wall-clock
-    seconds spent on completion plus fusion.
+    The mirror view reflects ``cam`` through the origin, where every
+    normalized object is centred.  Observed pixels become points tagged
+    observed; completed pixels become points tagged generated.
     """
-    start = time.perf_counter()
-    virtual = mirror_pose(cam, object_center)
+    virtual = mirror_pose(cam, (0.0, 0.0, 0.0))
     completed = completion(observed, cam, virtual)
     front = back_project(observed, cam)
     back = back_project(completed, virtual)
     generated = PointCloud.from_points(back.points, TAG_GENERATED)
-    fused = merge_clouds([front, generated])
-    elapsed = time.perf_counter() - start
-    return fused, elapsed
+    return merge_clouds([front, generated])
 
 
 # ---------------------------------------------------------------------------

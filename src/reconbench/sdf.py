@@ -29,6 +29,8 @@ GRADIENT_STEP = 1e-4
 GRADIENT_MIN_NORM = 1e-8
 
 _PAIR_BUDGET = 4_000_000
+# grid points per field call in evaluate_on_grid
+_GRID_CHUNK = 65536
 
 # fixed retry directions for the parity test, longest axis first
 _PARITY_DIRECTIONS = np.random.default_rng(74210423).normal(size=(16, 3))
@@ -264,8 +266,7 @@ def default_iso_epsilon(resolution: int, radius: float = GRID_RADIUS) -> float:
 
 
 def evaluate_on_grid(
-    sdf_fn: SdfField, resolution: int, radius: float = GRID_RADIUS,
-    chunk: int = 65536,
+    sdf_fn: SdfField, resolution: int, radius: float = GRID_RADIUS
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate a field on the regular grid; returns (points, values).
 
@@ -276,48 +277,43 @@ def evaluate_on_grid(
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
     vals = np.empty(pts.shape[0])
-    for s in range(0, pts.shape[0], chunk):
-        e = min(pts.shape[0], s + chunk)
+    for s in range(0, pts.shape[0], _GRID_CHUNK):
+        e = min(pts.shape[0], s + _GRID_CHUNK)
         vals[s:e] = np.asarray(sdf_fn(pts[s:e]), dtype=np.float64)
     return pts, vals
 
 
-def numeric_gradient(sdf_fn: SdfField, points: np.ndarray,
-                     step: float = GRADIENT_STEP) -> np.ndarray:
+def numeric_gradient(sdf_fn: SdfField, points: np.ndarray) -> np.ndarray:
     """Central-difference gradient of the field at each point."""
     pts = as_points(points)
     grad = np.empty_like(pts)
     for axis in range(3):
         offset = np.zeros(3)
-        offset[axis] = step
+        offset[axis] = GRADIENT_STEP
         hi = np.asarray(sdf_fn(pts + offset), dtype=np.float64)
         lo = np.asarray(sdf_fn(pts - offset), dtype=np.float64)
-        grad[:, axis] = (hi - lo) / (2.0 * step)
+        grad[:, axis] = (hi - lo) / (2.0 * GRADIENT_STEP)
     return grad
 
 
 def extract_surface_points(
     sdf_fn: SdfField,
     resolution: int,
-    iso_epsilon: float | None = None,
-    radius: float = GRID_RADIUS,
     gradient_fn: SdfGradient | None = None,
 ) -> np.ndarray:
     """Grid points near the zero level set, refined one Newton step.
 
-    Grid points with |sdf| <= iso_epsilon are candidates; each moves by
-    p <- p - sdf(p) * g / |g|^2 using as g the field's analytic gradient
-    when ``gradient_fn`` is given, else central differences.
+    Grid points with |sdf| <= iso_epsilon, ``default_iso_epsilon(resolution)``,
+    are candidates; each moves by p <- p - sdf(p) * g / |g|^2 using as g
+    the field's analytic gradient when ``gradient_fn`` is given, else
+    central differences.
     The step is skipped where the gradient is numerically zero (flat
     fields stay put rather than shooting off), and its length is capped
     at iso_epsilon: a unit-gradient field never needs more, so longer
     steps only ever come from unreliable gradients.
     """
-    if iso_epsilon is None:
-        iso_epsilon = default_iso_epsilon(resolution, radius)
-    if iso_epsilon < 0:
-        raise InvalidInputError("iso_epsilon must be non-negative")
-    pts, vals = evaluate_on_grid(sdf_fn, resolution, radius)
+    iso_epsilon = default_iso_epsilon(resolution)
+    pts, vals = evaluate_on_grid(sdf_fn, resolution)
     keep = np.abs(vals) <= iso_epsilon
     cand = pts[keep]
     if cand.shape[0] == 0:

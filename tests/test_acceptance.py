@@ -330,7 +330,7 @@ def test_criterion_07_single_view_latent_reconstruction():
         narrow = view_samples_for_inference(view, cam, spacing=0.05, value_cap=0.1, seed=0)
         z = infer_latent(decoder, wide, infer_config(0.5, 150))
         z = infer_latent(decoder, narrow, infer_config(0.1, 300), init=z)
-        cloud, _ = reconstruct(decoder, z, 64)
+        cloud = reconstruct(decoder, z, 64)
         d_c, _ = chamfer_hausdorff(voxel_downsample(cloud, 0.02), sphere_points(radius))
         assert d_c <= 0.05
     assert time.perf_counter() - start <= 600.0
@@ -348,7 +348,7 @@ def test_criterion_08_mirrored_depth_completion():
     for i, mesh in enumerate(instances):
         eye = ring_eye(rng.uniform(0, 2 * np.pi), rng.uniform(-1.0, 1.0), 2.0)
         cam = camera_looking_at(eye, (0.0, 0.0, 0.0), 256, 256, 60.0)
-        cloud, _ = reconstruct_view_dependent(
+        cloud = reconstruct_view_dependent(
             render_depth(mesh, cam), cam, oracle_completion(mesh)
         )
         truth = PointCloud.from_points(
@@ -422,7 +422,7 @@ def test_criterion_10_completion_beats_grid_decoding_on_time():
     net = init_mirror_model(cfg.mirror_config(0))
     cam = camera_looking_at((0.0, 0.0, 2.0), (0.0, 0.0, 0.0), 64, 64, 60.0)
     result = time_methods(
-        icosphere(3, 0.8),
+        render_depth(icosphere(3, 0.8), cam),
         cam,
         decoder,
         net,
@@ -452,7 +452,6 @@ def test_criterion_11_end_to_end_micro_benchmark(tmp_path):
         "grid_resolution = 32\n"
         "mirror_channels = 8,1\n"
         "mirror_epochs = 150\n"
-        "mirror_train_image = 32\n"
         "gt_surface_samples = 2000\n"
     )
     out = tmp_path / "ws"

@@ -1,6 +1,9 @@
 """Procedural shapes, dataset generation, results plumbing, and the CLI."""
+import itertools
 import json
-from dataclasses import replace
+import shutil
+import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,15 +18,20 @@ from reconbench.bench import (
     parse_report_csv,
     read_manifest,
     read_results,
+    load_view,
     report,
     ring_camera,
+    run_evaluation,
     time_methods,
     write_results,
 )
 from reconbench.cli import main
+from reconbench.autodecoder import load_decoder
 from reconbench.config import BenchConfig, apply_preset, load_config
+from reconbench.depth import render_depth
 from reconbench.errors import InvalidInputError, MissingArtifactError
 from reconbench.fileio import load_obj, load_pfm
+from reconbench.mirror import load_mirror_model
 from reconbench.sdf import GRID_RADIUS
 from reconbench.shapes import (
     CATEGORIES,
@@ -415,9 +423,18 @@ class TestConfig:
             "mirror_learning_rate",
             "mirror_momentum",
             "eval_downsample_voxel",
+            "mirror_train_image",
         ):
             with pytest.raises(InvalidInputError, match="unknown config key"):
                 load_config(overrides={key: "0.5"})
+
+    @pytest.mark.parametrize(
+        "key", [f.name for f in fields(BenchConfig) if f.type.startswith("float")]
+    )
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_floats_rejected(self, key, raw):
+        with pytest.raises(InvalidInputError, match=key):
+            load_config(overrides={key: raw})
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +455,7 @@ class TestTiming:
         mir = init_mirror_model(MirrorTrainConfig(channels=(1,)))
         with pytest.raises(InvalidInputError):
             time_methods(
-                unit_sphere,
+                render_depth(unit_sphere, front_camera),
                 front_camera,
                 dec,
                 mir,
@@ -456,7 +473,7 @@ class TestTiming:
         )
         mir = init_mirror_model(MirrorTrainConfig(channels=(1,)))
         result = time_methods(
-            unit_sphere,
+            render_depth(unit_sphere, front_camera),
             front_camera,
             dec,
             mir,
@@ -466,6 +483,31 @@ class TestTiming:
         )
         assert result.mirror_ms > 0
         assert result.sdf_ms > 0
+
+    def test_one_clock_reading_per_timed_region(self, trained_ws, monkeypatch, capsys):
+        # a clock that advances one second per reading: each timed
+        # region reads it exactly twice, so every time is 1000 ms
+        ws, cfg_path = trained_ws
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+        records = run_evaluation(ws, ["can"], METHODS, load_config(cfg_path))
+        write_results(ws / "results.csv", records)
+        rows = read_results(ws / "results.csv")
+        assert {r.method for r in rows} == set(METHODS)
+        assert all(r.inference_ms == 1000.0 for r in rows)
+        observed, cam = load_view(ws / "can" / "test" / "000", 0)
+        decoder, _ = load_decoder(ws / "models" / "decoder.rbsd")
+        result = time_methods(
+            observed,
+            cam,
+            decoder,
+            load_mirror_model(ws / "models" / "mirror.rbmr"),
+            np.zeros(decoder.latent_dim),
+            grid_resolution=8,
+            repetitions=3,
+        )
+        assert result.mirror_ms == 1000.0
+        assert result.sdf_ms == 1000.0
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +534,20 @@ def _write_speed_cfg(path: Path) -> Path:
         "bench_repetitions = 1\n"
     )
     return path
+
+
+@pytest.fixture(scope="module")
+def trained_ws(tmp_path_factory):
+    """A generated and trained workspace (one can to train on, one to
+    test); returns (workspace, config path).  Tests that change it work
+    on a copy."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg = _write_speed_cfg(root / "speed.cfg")
+    base = ["--out", str(root / "ws"), "--config", str(cfg), "--seed", "3"]
+    gen = ["gen-data", "--categories", "can", "--train-count", "1", "--test-count", "1"]
+    for argv in (gen, ["train-sdf"], ["train-mirror"]):
+        assert main(argv + base) == 0
+    return root / "ws", cfg
 
 
 class TestCli:
@@ -535,6 +591,27 @@ class TestCli:
             assert code == 1
             assert "unknown config key" in capsys.readouterr().err
         assert not (tmp_path / "ws").exists()
+
+    def test_bench_time_reads_no_mesh(self, trained_ws, tmp_path, capsys):
+        ws, cfg = trained_ws
+        out = tmp_path / "ws"
+        shutil.copytree(ws, out)
+        (out / "can" / "test" / "000" / "mesh.obj").unlink()
+        assert main(["bench-time", "--out", str(out), "--config", str(cfg)]) == 0
+        assert "ratio (sdf / mirror):" in capsys.readouterr().out
+
+    def test_non_finite_learning_rate_is_an_input_error(self, tmp_path, capsys):
+        cfg = _write_speed_cfg(tmp_path / "speed.cfg")
+        out = tmp_path / "ws"
+        gen = ["gen-data", "--out", str(out), "--config", str(cfg), "--categories",
+               "can", "--train-count", "1", "--test-count", "0"]
+        assert main(gen) == 0
+        capsys.readouterr()
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(cfg.read_text() + "decoder_learning_rate = nan\n")
+        assert main(["train-sdf", "--out", str(out), "--config", str(bad)]) == 1
+        assert "decoder_learning_rate" in capsys.readouterr().err
+        assert not (out / "models").exists()
 
     def test_stages_require_artifacts(self, tmp_path, capsys):
         out = str(tmp_path / "ws")
