@@ -141,6 +141,8 @@ def apply_preset(cfg: BenchConfig) -> BenchConfig:
 def _parse_value(raw: str, default):
     raw = raw.strip()
     if raw.lower() in ("none", "null"):
+        if default is not None:
+            raise ValueError("only an optional value can be cleared")
         return None
     if isinstance(default, int):
         return int(raw)

@@ -1,10 +1,25 @@
 """Signed distances to triangle meshes and SDF training-set generation.
 
 The magnitude of the signed distance is the exact minimum distance to
-any triangle.  The sign comes from ray-crossing parity, which only
-assumes a closed surface, not consistent winding: a point is inside
-when a ray from it crosses the surface an odd number of times.  Rays
-that graze an edge or vertex are retried along a different direction.
+any triangle, found for each block of points in three passes:
+
+- bound: a point's squared distance to its nearest mesh vertex is an
+  upper bound on its squared distance to the surface, since every
+  vertex a triangle uses lies on that surface;
+- prune: a (point, triangle) pair is kept only when the squared
+  distance from the point to the triangle's axis-aligned box is within
+  that bound, widened by a rounding allowance;
+- exact: the closest-point kernel runs on the kept pairs alone, and
+  each point takes the minimum over them.
+
+A dropped triangle is farther away than the nearest vertex, so it
+cannot hold the minimum: the result equals the kernel's minimum over
+every triangle, bit for bit.
+
+The sign comes from ray-crossing parity, which only assumes a closed
+surface, not consistent winding: a point is inside when a ray from it
+crosses the surface an odd number of times.  Rays that graze an edge
+or vertex are retried along a different direction.
 
 An "SDF field" in this package is any callable mapping an (N, 3) array
 of points to an (N,) array of signed distances.
@@ -28,7 +43,13 @@ GRID_RADIUS = 1.1
 GRADIENT_STEP = 1e-4
 GRADIENT_MIN_NORM = 1e-8
 
-_PAIR_BUDGET = 4_000_000
+# (point, triangle) pairs per block of the bound pass: each (n, m)
+# bound array stays cache-sized
+_PAIR_BUDGET = 65_536
+# widens the vertex bound, relative to the vertex distance and to the
+# mesh's coordinate scale: the kernel rounds a distance by a few ulps
+# of both, and a triangle that rounding puts nearest must not be dropped
+_BOUND_SLACK = 1e-9
 # grid points per field call in evaluate_on_grid
 _GRID_CHUNK = 65536
 
@@ -38,22 +59,23 @@ _PARITY_DIRECTIONS /= np.linalg.norm(_PARITY_DIRECTIONS, axis=1, keepdims=True)
 
 
 def _point_triangle_sqdist(p: np.ndarray, a, b, c) -> np.ndarray:
-    """Squared distance from each point to each triangle, shape (n, m).
+    """Squared distance from each point to the triangle on its row, shape (P,).
 
-    Region-based closest-point computation (vertex, edge, or interior),
-    fully vectorized.
+    ``p`` and the corners ``a``, ``b``, ``c`` are gathered (P, 3) arrays.
+    Region-based closest-point computation (vertex, edge, or interior;
+    Ericson 2004, section 5.1.5), fully vectorized.
     """
     ab = b - a
     ac = c - a
-    ap = p[:, None, :] - a[None, :, :]
-    d1 = np.einsum("mk,nmk->nm", ab, ap)
-    d2 = np.einsum("mk,nmk->nm", ac, ap)
-    bp = p[:, None, :] - b[None, :, :]
-    d3 = np.einsum("mk,nmk->nm", ab, bp)
-    d4 = np.einsum("mk,nmk->nm", ac, bp)
-    cp = p[:, None, :] - c[None, :, :]
-    d5 = np.einsum("mk,nmk->nm", ab, cp)
-    d6 = np.einsum("mk,nmk->nm", ac, cp)
+    ap = p - a
+    d1 = np.einsum("pk,pk->p", ab, ap)
+    d2 = np.einsum("pk,pk->p", ac, ap)
+    bp = p - b
+    d3 = np.einsum("pk,pk->p", ab, bp)
+    d4 = np.einsum("pk,pk->p", ac, bp)
+    cp = p - c
+    d5 = np.einsum("pk,pk->p", ab, cp)
+    d6 = np.einsum("pk,pk->p", ac, cp)
 
     vc = d1 * d4 - d3 * d2
     vb = d5 * d2 - d1 * d6
@@ -94,9 +116,29 @@ def _point_triangle_sqdist(p: np.ndarray, a, b, c) -> np.ndarray:
     v = np.where(picked, v, v_face)
     w = np.where(picked, w, w_face)
 
-    closest = a[None, :, :] + v[..., None] * ab[None, :, :] + w[..., None] * ac[None, :, :]
-    diff = p[:, None, :] - closest
-    return np.einsum("nmk,nmk->nm", diff, diff)
+    closest = a + v[:, None] * ab + w[:, None] * ac
+    diff = p - closest
+    return np.einsum("pk,pk->p", diff, diff)
+
+
+def _box_sqdist(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Squared distance from each point to each box, shape (n, m).
+
+    ``lo`` and ``hi`` are (3, m) box corners; a box with ``lo == hi`` is
+    a single vertex.  Built one axis at a time in place, with no
+    (n, m, 3) temporary.
+    """
+    total = np.zeros((p.shape[0], lo.shape[1]))
+    gap = np.empty_like(total)
+    for k in range(3):
+        col = p[:, k, None]
+        # the box's nearest coordinate, minus the point's
+        np.maximum(lo[k], col, out=gap)
+        np.minimum(gap, hi[k], out=gap)
+        gap -= col
+        gap *= gap
+        total += gap
+    return total
 
 
 def unsigned_distances(points, mesh: TriangleMesh) -> np.ndarray:
@@ -105,13 +147,25 @@ def unsigned_distances(points, mesh: TriangleMesh) -> np.ndarray:
     if len(mesh) == 0:
         raise InvalidInputError("mesh has no triangles")
     a, b, c = mesh.corners()
+    # box corners and vertices as (3, m) and (3, V): one contiguous row
+    # per axis; only vertices that some triangle uses lie on the surface
+    lo = np.minimum(np.minimum(a, b), c).T.copy()
+    hi = np.maximum(np.maximum(a, b), c).T.copy()
+    verts = mesh.vertices[np.unique(mesh.triangles)].T.copy()
+    margin = _BOUND_SLACK * np.abs(verts).max()
     n = pts.shape[0]
     out = np.empty(n)
-    block = max(1, _PAIR_BUDGET // len(mesh))
+    block = max(1, _PAIR_BUDGET // max(len(mesh), verts.shape[1]))
     for s in range(0, n, block):
-        e = min(n, s + block)
-        sq = _point_triangle_sqdist(pts[s:e], a, b, c)
-        out[s:e] = np.sqrt(sq.min(axis=1))
+        p = pts[s:s + block]
+        upper = _box_sqdist(p, verts, verts).min(axis=1)
+        reach = np.sqrt(upper) * (1.0 + _BOUND_SLACK) + margin
+        rows, tris = np.nonzero(_box_sqdist(p, lo, hi) <= (reach * reach)[:, None])
+        sq = _point_triangle_sqdist(p[rows], a[tris], b[tris], c[tris])
+        # the triangles around a point's nearest vertex always pass, so
+        # every row owns a run of the row-sorted pairs
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        out[s:s + block] = np.sqrt(np.minimum.reduceat(sq, starts))
     return out
 
 

@@ -592,6 +592,16 @@ class TestCli:
             assert "unknown config key" in capsys.readouterr().err
         assert not (tmp_path / "ws").exists()
 
+    def test_none_is_a_bad_value_for_a_required_key(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        for line in ("image_width = none\n", "preset = null\n"):
+            cfg.write_text(line)
+            code = main(["gen-data", "--out", str(tmp_path / "ws"), "--config", str(cfg)])
+            assert code == 1
+            key = line.split()[0]
+            assert f"error: bad value for {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "ws").exists()
+
     def test_bench_time_reads_no_mesh(self, trained_ws, tmp_path, capsys):
         ws, cfg = trained_ws
         out = tmp_path / "ws"

@@ -1,8 +1,15 @@
 """Signed distance queries, training-sample generation, and iso-surface
 extraction."""
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from reconbench import sdf
+from reconbench.bench import CATEGORIES, _build_instance
 from reconbench.errors import InvalidInputError
 from reconbench.geometry import TriangleMesh
 from reconbench.sdf import (
@@ -21,7 +28,7 @@ from reconbench.sdf import (
     signed_distances,
     unsigned_distances,
 )
-from reconbench.shapes import icosphere
+from reconbench.shapes import box_mesh, icosphere
 
 
 def box_sdf(points: np.ndarray, half: float = 0.5) -> np.ndarray:
@@ -58,6 +65,153 @@ class TestPointTriangleDistance:
     def test_vertices_are_zero(self, unit_sphere):
         d = unsigned_distances(unit_sphere.vertices[:50], unit_sphere)
         assert np.max(d) <= 1e-12
+
+
+def all_pairs_distances(points, mesh: TriangleMesh) -> np.ndarray:
+    """Oracle: the pair kernel on every (point, triangle) pair, unpruned."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    a, b, c = mesh.corners()
+    m = len(mesh)
+    out = np.empty(len(pts))
+    chunk = max(1, 200_000 // m)
+    for s in range(0, len(pts), chunk):
+        p = pts[s:s + chunk]
+        sq = sdf._point_triangle_sqdist(
+            np.repeat(p, m, axis=0),
+            np.tile(a, (len(p), 1)),
+            np.tile(b, (len(p), 1)),
+            np.tile(c, (len(p), 1)),
+        )
+        out[s:s + chunk] = np.sqrt(sq.reshape(len(p), m).min(axis=1))
+    return out
+
+
+def category_mesh(category: str) -> TriangleMesh:
+    return _build_instance([0, CATEGORIES.index(category), 0])[1]
+
+
+# triangle soups for the property test: coordinates on a coarse lattice
+# make exact ties, shared vertices and touching triangles likely
+_soup_coords = st.integers(-8, 8).map(lambda i: i / 4.0) | st.floats(-2.0, 2.0)
+
+
+class TestPrunedPass:
+    """The bound-and-prune pass must equal the unpruned kernel bit for bit."""
+
+    @pytest.mark.parametrize("category", CATEGORIES)
+    def test_categories_on_sampler_points(self, category):
+        mesh = category_mesh(category)
+        pts = sample_training_set(mesh, SamplingConfig(total_count=400, seed=5)).points
+        assert np.array_equal(unsigned_distances(pts, mesh), all_pairs_distances(pts, mesh))
+
+    @pytest.mark.parametrize(
+        "mesh", [box_mesh((0.5, 0.5, 0.5)), icosphere(subdivisions=1)], ids=["box", "sphere"]
+    )
+    def test_grid_points(self, mesh):
+        pts, _ = evaluate_on_grid(lambda p: np.zeros(p.shape[0]), 32)
+        assert np.array_equal(unsigned_distances(pts, mesh), all_pairs_distances(pts, mesh))
+
+    def test_points_far_outside_the_ball(self, unit_sphere, rng):
+        dirs = rng.normal(size=(300, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        pts = dirs * rng.uniform(100.0, 1000.0, size=(300, 1))
+        got = unsigned_distances(pts, unit_sphere)
+        assert np.array_equal(got, all_pairs_distances(pts, unit_sphere))
+
+    @pytest.mark.parametrize("which", ["sphere", "jar"])
+    def test_vertices_and_edge_midpoints(self, which, unit_sphere):
+        mesh = unit_sphere if which == "sphere" else category_mesh("jar")
+        a, b, c = (corner[:100] for corner in mesh.corners())
+        pts = np.concatenate([mesh.vertices, (a + b) / 2, (b + c) / 2, (c + a) / 2])
+        got = unsigned_distances(pts, mesh)
+        assert np.array_equal(got, all_pairs_distances(pts, mesh))
+        assert np.max(got) <= 1e-12
+
+    def test_box_centre_ties_every_face(self, unit_box):
+        got = unsigned_distances(np.zeros((1, 3)), unit_box)
+        assert np.array_equal(got, all_pairs_distances(np.zeros((1, 3)), unit_box))
+        assert got[0] == 0.5
+
+    def test_one_triangle_mesh(self, rng):
+        mesh = TestPointTriangleDistance.TRI
+        pts = rng.uniform(-2.0, 2.0, size=(500, 3))
+        assert np.array_equal(unsigned_distances(pts, mesh), all_pairs_distances(pts, mesh))
+
+    def test_rounding_margin_keeps_a_near_touching_triangle(self):
+        # the query sits on a vertex of the first triangle, so its vertex
+        # bound is 0, but the kernel rounds that triangle's distance up
+        # to 1e-17; the second triangle's box starts 5e-18 away and must
+        # still be scanned
+        mesh = TriangleMesh(
+            np.array([[1.0, 0, 0], [1, 1, 0], [1e-17, 0, 0], [1.5e-17, 0, 0], [1, -1, 0], [1, 0, 1]]),
+            np.array([[0, 1, 2], [3, 4, 5]]),
+        )
+        p = np.array([[1e-17, 0.0, 0.0]])
+        got = unsigned_distances(p, mesh)
+        assert np.array_equal(got, all_pairs_distances(p, mesh))
+        assert got[0] < 1e-17
+
+    def test_unused_vertices_do_not_bound(self):
+        # a vertex no triangle uses is not on the surface
+        tri = TestPointTriangleDistance.TRI
+        mesh = TriangleMesh(np.vstack([tri.vertices, [[5.0, 5.0, 5.0]]]), tri.triangles)
+        p = np.array([[5.0, 5.0, 5.1]])
+        assert np.array_equal(unsigned_distances(p, mesh), all_pairs_distances(p, mesh))
+
+    def test_no_points(self, unit_sphere):
+        got = unsigned_distances(np.zeros((0, 3)), unit_sphere)
+        assert got.shape == (0,)
+        assert np.array_equal(got, all_pairs_distances(np.zeros((0, 3)), unit_sphere))
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        corners=arrays(
+            np.float64, st.tuples(st.integers(1, 50), st.just(3), st.just(3)), elements=_soup_coords
+        ),
+        points=arrays(np.float64, st.tuples(st.integers(1, 40), st.just(3)), elements=_soup_coords),
+        on_vertices=st.booleans(),
+    )
+    def test_random_triangle_soups(self, corners, points, on_vertices):
+        # the kernel needs non-degenerate triangles
+        a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+        corners = corners[np.linalg.norm(np.cross(b - a, c - a), axis=1) >= 1e-2]
+        assume(len(corners) > 0)
+        t = corners.shape[0]
+        mesh = TriangleMesh(corners.reshape(-1, 3), np.arange(3 * t).reshape(t, 3))
+        if on_vertices:
+            points = np.concatenate([points, mesh.vertices])
+        assert np.array_equal(unsigned_distances(points, mesh), all_pairs_distances(points, mesh))
+
+    def test_memory_stays_within_the_pair_budget(self, unit_sphere, rng, monkeypatch):
+        # near-surface points keep few pairs; points at the centre keep
+        # every triangle, so their blocks fill the budget exactly
+        near = unit_sphere.sample_surface(19_800, rng) + rng.normal(0.0, 0.02, size=(19_800, 3))
+        centre = rng.uniform(-0.05, 0.05, size=(200, 3))
+        pts = np.concatenate([near, centre])
+        sizes = []
+        kernel, bounds = sdf._point_triangle_sqdist, sdf._box_sqdist
+
+        def counted_kernel(p, a, b, c):
+            sizes.append(p.shape[0])
+            return kernel(p, a, b, c)
+
+        def counted_bounds(p, lo, hi):
+            out = bounds(p, lo, hi)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(sdf, "_point_triangle_sqdist", counted_kernel)
+        monkeypatch.setattr(sdf, "_box_sqdist", counted_bounds)
+        tracemalloc.start()
+        try:
+            unsigned_distances(pts, unit_sphere)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert max(sizes) <= sdf._PAIR_BUDGET
+        # each kernel temporary is one float64 column of at most the
+        # budget; a few dozen of them are alive at once
+        assert peak <= 64 * sdf._PAIR_BUDGET * 8
 
 
 class TestSignedDistance:
