@@ -310,9 +310,7 @@ def train_mirror_backend(data_dir, categories, seed: int, cfg: BenchConfig) -> P
 # evaluation
 
 
-def _ground_truth_cloud(inst_dir: Path, cfg: BenchConfig) -> PointCloud:
-    meta = _load_meta(inst_dir)
-    mesh = load_obj(inst_dir / "mesh.obj")
+def _ground_truth_cloud(mesh, meta: dict, cfg: BenchConfig) -> PointCloud:
     rng = _rng_for(meta["seed_entropy"], _SEED_GT)
     return PointCloud.from_points(mesh.sample_surface(cfg.gt_surface_samples, rng))
 
@@ -437,7 +435,7 @@ def run_evaluation(
         meta = _load_meta(inst_dir)
         mesh = load_obj(inst_dir / "mesh.obj")
         gt_down = voxel_downsample(
-            _ground_truth_cloud(inst_dir, cfg), _EVAL_DOWNSAMPLE_VOXEL
+            _ground_truth_cloud(mesh, meta, cfg), _EVAL_DOWNSAMPLE_VOXEL
         )
         n_views = min(int(meta["views"]), cfg.views_per_test_instance)
         for view in range(n_views):

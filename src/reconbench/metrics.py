@@ -1,9 +1,14 @@
 """Point-cloud comparison metrics and voxel-grid utilities.
 
 Distances are exact: the KD-tree returns the same neighbor as an
-exhaustive scan (ties broken toward the lowest point index), and the
-chamfer/hausdorff implementations agree with the quadratic brute-force
-definition to floating-point rounding.
+exhaustive scan (ties broken toward the lowest point index), and
+nearest distances, so chamfer and hausdorff, equal the quadratic
+difference-form scan (the least ``|a - b|^2`` summed over coordinates)
+bit for bit at every size.  Below ``_BRUTE_FORCE_PAIRS`` one kernel
+serves every size: a BLAS product picks each query's nearest point,
+the difference form gives its value, and queries whose two least
+products lie within a proven rounding margin rescan their candidates
+(see ``_brute_nearest_sq``).
 """
 from __future__ import annotations
 
@@ -17,20 +22,12 @@ from .geometry import PointCloud, as_points
 _LEAF_SIZE = 16
 # above this many query*reference pairs the tree beats chunked brute force
 _BRUTE_FORCE_PAIRS = 500_000_000
-# small workloads use the cancellation-free difference form
-_EXACT_BRUTE_PAIRS = 4_000_000
 # pairs per brute-force block: small enough for the block's temporaries
-# to stay in cache; the row floor keeps BLAS on its matrix-matrix path,
-# whose rounding matches any larger block's
+# to stay in cache
 _BRUTE_CHUNK = 131_072
-_BRUTE_MIN_ROWS = 64
-# past _BRUTE_CHUNK / _BRUTE_MIN_ROWS reference points, the matrix-product
-# form also splits the reference axis, into slices of this many points
-# with the last one taking the remainder: in OpenBLAS, slices narrower
-# than ~200 points, or not a multiple of 8 wide, round differently from
-# the full-width product.  The difference form needs no slices, since its
-# whole scan fits in _EXACT_BRUTE_PAIRS
-_BRUTE_SLICE = _BRUTE_CHUNK // (2 * _BRUTE_MIN_ROWS)
+# widest reference slice; keeps a block at 16 query rows or more, so the
+# per-slice (4, width) operand stays a quarter of the block's products
+_BRUTE_WIDTH = _BRUTE_CHUNK // 16
 
 
 def _cloud_points(cloud) -> np.ndarray:
@@ -129,39 +126,93 @@ class KdTree:
         return idx, dist
 
 
+def _augmented_reference(b: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The (4, hi - lo) operand [-2 b^T; |b|^2] of one reference slice."""
+    part = b[lo:hi]
+    op = np.empty((4, hi - lo))
+    np.multiply(part.T, -2.0, out=op[:3])
+    np.einsum("mk,mk->m", part, part, out=op[3])
+    return op
+
+
 def _brute_nearest_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Min squared distance from each point of a to the set b.
 
-    Small workloads subtract coordinates directly.  Larger ones expand
-    |a-b|^2 = |a|^2 - 2 a.b + |b|^2 so the cross term is one matrix
-    product per chunk; cancellation can leave tiny negatives, which
-    clamp to zero.
+    The result equals the difference-form scan,
+    ``min_j einsum("k,k->", a_i - b_j, a_i - b_j)``, bit for bit.  A
+    product only picks the pair; the difference form gives its value:
+
+    1. Per block of at most ``_BRUTE_CHUNK`` pairs, one BLAS product
+       ``[a, 1] @ [-2 b^T; |b|^2]`` gives ``S_ij = |b_j|^2 - 2 a_i.b_j``,
+       which is ``|a_i - b_j|^2 - |a_i|^2``.  Each query keeps the index
+       and value of its least ``S`` and its second-least value, merged
+       across reference slices of at most ``_BRUTE_WIDTH`` points.
+    2. The value is the difference form on the chosen pair.
+    3. A query is a near tie when its second-least ``S`` is within
+       ``tol_i = 64 eps (|a_i| + max_j |b_j|)^2`` of its least.  Near
+       ties recompute ``S`` and take the least difference form over
+       every candidate with ``S_ij <= S_min + tol_i``.
+
+    Why ``tol_i`` suffices: with unit roundoff ``u = eps / 2`` and
+    ``B = |a_i| + max_j |b_j|``, the product is a 4-term dot product
+    whose terms sum to at most ``2 |a||b| + |b|^2 <= B^2`` in absolute
+    value, plus the rounding of ``|b|^2``: its error is at most
+    ``(4 + 3) u B^2``.  The difference form rounds each coordinate
+    difference, its square and the 3-term sum: at most ``5 u B^2``.
+    If ``j*`` minimises the difference form and ``j`` minimises ``S``,
+    chaining the bounds through the exact identity gives
+    ``S_ij* <= S_ij + 2 (7 + 5) u B^2 = S_ij + 12 eps B^2``, so the
+    difference-form minimiser is always a candidate; the factor 64
+    leaves room for the rounding of the threshold itself.  A query
+    whose second-least ``S`` lies beyond the margin has ``j* = j``.
     """
-    m = b.shape[0]
-    out = np.empty(a.shape[0])
-    block = max(_BRUTE_MIN_ROWS, _BRUTE_CHUNK // m)
-    exact = a.shape[0] * m <= _EXACT_BRUTE_PAIRS
-    if not exact:
-        bb = np.einsum("mk,mk->m", b, b)
-        width = _BRUTE_SLICE if _BRUTE_MIN_ROWS * m > _BRUTE_CHUNK else m
-        edges = [*range(0, m - width + 1, width), m]
-    for s in range(0, a.shape[0], block):
-        e = min(a.shape[0], s + block)
-        chunk = a[s:e]
-        if exact:
-            diff = chunk[:, None, :] - b[None, :, :]
-            sq = np.einsum("nmk,nmk->nm", diff, diff)
-            out[s:e] = sq.min(axis=1)
-        else:
-            aa = np.einsum("nk,nk->n", chunk, chunk)[:, None]
-            best = np.full(e - s, np.inf)
-            for lo, hi in zip(edges, edges[1:]):
-                sq = chunk @ b[lo:hi].T
-                sq *= -2.0
-                sq += bb[None, lo:hi]
-                sq += aa
-                np.minimum(best, sq.min(axis=1), out=best)
-            out[s:e] = np.maximum(best, 0.0)
+    n, m = a.shape[0], b.shape[0]
+    width = min(m, _BRUTE_WIDTH)
+    rows = max(1, _BRUTE_CHUNK // width)
+    slices = [(lo, min(m, lo + width)) for lo in range(0, m, width)]
+    a1 = np.empty((n, 4))
+    a1[:, :3] = a
+    a1[:, 3] = 1.0
+    best = np.full(n, np.inf)
+    second = np.full(n, np.inf)
+    arg = np.zeros(n, dtype=np.int64)
+    bb_max = 0.0
+    for lo, hi in slices:
+        op = _augmented_reference(b, lo, hi)
+        bb_max = max(bb_max, float(op[3].max()))
+        for s in range(0, n, rows):
+            e = min(n, s + rows)
+            prod = a1[s:e] @ op
+            j = prod.argmin(axis=1)
+            at = np.arange(e - s)
+            least = prod[at, j]
+            prod[at, j] = np.inf
+            runner_up = prod.min(axis=1)
+            prev = best[s:e]
+            won = least < prev
+            second[s:e] = np.where(
+                won, np.minimum(prev, runner_up), np.minimum(second[s:e], least)
+            )
+            best[s:e] = np.where(won, least, prev)
+            arg[s:e] = np.where(won, j + lo, arg[s:e])
+    diff = a - b[arg]
+    out = np.einsum("pk,pk->p", diff, diff)
+
+    norm_a = np.sqrt(np.einsum("nk,nk->n", a, a))
+    limit = best + 64.0 * np.finfo(np.float64).eps * (norm_a + np.sqrt(bb_max)) ** 2
+    near = np.flatnonzero(second <= limit)
+    if near.size:
+        a1_near = a1[near]
+        limit_near = limit[near]
+        value = out[near]
+        for lo, hi in slices:
+            op = _augmented_reference(b, lo, hi)
+            for s in range(0, near.size, rows):
+                e = min(near.size, s + rows)
+                ii, jj = np.nonzero(a1_near[s:e] @ op <= limit_near[s:e, None])
+                diff = a[near[s + ii]] - b[lo + jj]
+                np.minimum.at(value, s + ii, np.einsum("pk,pk->p", diff, diff))
+        out[near] = value
     return out
 
 
@@ -222,6 +273,25 @@ def _voxel_keys(points: np.ndarray, voxel_size: float) -> np.ndarray:
     return np.floor(points / voxel_size).astype(np.int64)
 
 
+def _voxel_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(first, inverse, counts)`` of the distinct rows of ``keys``.
+
+    Equal to ``np.unique(keys, axis=0, return_index=True,
+    return_inverse=True, return_counts=True)[1:]``: groups come in
+    lexicographic row order and ``first`` is each group's lowest index,
+    but one stable lexsort replaces the structured-dtype row sort.
+    """
+    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
+    ordered = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    first = order[starts]
+    counts = np.diff(np.append(np.flatnonzero(starts), len(keys)))
+    return first, inverse, counts
+
+
 def voxel_filter(cloud: PointCloud, cfg: VoxelFilterConfig) -> PointCloud:
     """Drop points whose voxel holds fewer than the required count.
 
@@ -231,9 +301,7 @@ def voxel_filter(cloud: PointCloud, cfg: VoxelFilterConfig) -> PointCloud:
     if len(cloud) == 0:
         return cloud
     keys = _voxel_keys(cloud.points, cfg.voxel_size)
-    _, inverse, counts = np.unique(
-        keys, axis=0, return_inverse=True, return_counts=True
-    )
+    _, inverse, counts = _voxel_groups(keys)
     keep = counts[inverse] >= cfg.min_points_per_voxel
     return PointCloud(cloud.points[keep], cloud.tags[keep])
 
@@ -251,9 +319,7 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     if len(cloud) == 0:
         return cloud
     keys = _voxel_keys(cloud.points, voxel_size)
-    _, first, inverse, counts = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
+    first, inverse, counts = _voxel_groups(keys)
     sums = np.zeros((counts.shape[0], 3))
     np.add.at(sums, inverse, cloud.points)
     centroids = sums / counts[:, None]

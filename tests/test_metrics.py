@@ -1,4 +1,6 @@
 """Nearest-neighbor search, cloud metrics, and voxel utilities."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,10 @@ from reconbench.geometry import (
     transform_points,
 )
 from reconbench.metrics import (
-    _EXACT_BRUTE_PAIRS,
     KdTree,
     VoxelFilterConfig,
     _brute_nearest_sq,
+    _voxel_groups,
     chamfer,
     chamfer_hausdorff,
     hausdorff,
@@ -94,35 +96,26 @@ class TestNearestDistances:
             nearest_distances(np.zeros((0, 3)), np.ones((5, 3)))
 
     def test_brute_and_tree_agree_on_large_inputs(self, rng):
-        # big enough to leave the cancellation-free path
         a = rng.uniform(-1, 1, size=(3000, 3))
         b = rng.uniform(-1, 1, size=(2000, 3))
         fast = nearest_distances(a, b)
         _, tree_d = KdTree(b).nearest_many(a)
-        assert np.allclose(fast, tree_d, atol=1e-9)
+        # both take the least difference-form value
+        assert np.array_equal(fast, tree_d)
 
     def test_self_distance_is_zero(self, rng):
         pts = rng.normal(size=(100, 3))
         assert np.array_equal(nearest_distances(pts, pts), np.zeros(100))
 
 
-def brute_nearest_sq_4m_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The chunked scan with 4M-pair blocks and a one-row floor."""
+def difference_form_nearest_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All-pairs difference-form scan, in blocks of about 1M pairs (the
+    values do not depend on the blocking)."""
     out = np.empty(a.shape[0])
-    block = max(1, 4_000_000 // b.shape[0])
-    exact = a.shape[0] * b.shape[0] <= _EXACT_BRUTE_PAIRS
-    bb = np.einsum("mk,mk->m", b, b)
+    block = max(1, 1_000_000 // b.shape[0])
     for s in range(0, a.shape[0], block):
-        chunk = a[s : s + block]
-        if exact:
-            diff = chunk[:, None, :] - b[None, :, :]
-            out[s : s + block] = np.einsum("nmk,nmk->nm", diff, diff).min(axis=1)
-        else:
-            sq = chunk @ b.T
-            sq *= -2.0
-            sq += bb[None, :]
-            sq += np.einsum("nk,nk->n", chunk, chunk)[:, None]
-            out[s : s + block] = np.maximum(sq.min(axis=1), 0.0)
+        diff = a[s : s + block, None, :] - b[None, :, :]
+        out[s : s + block] = np.einsum("nmk,nmk->nm", diff, diff).min(axis=1)
     return out
 
 
@@ -132,12 +125,68 @@ def brute_nearest_sq_4m_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
      (3000, 3000), (5000, 2500), (2049, 4099), (30, 140_000)],
 )
 def test_small_blocks_match_large_blocks(rng, n, m):
-    # both formula branches; past 2048 reference points the product form
-    # also slices the reference cloud, the last slice taking the remainder
-    # (4099 = 3 x 1024 + 1027); 30 query rows are fewer than the row floor
+    # past 8192 reference points the scan slices the reference cloud, the
+    # last slice taking the remainder; 30 query rows fill less than a block
     a = rng.normal(size=(n, 3))
     b = rng.normal(size=(m, 3))
-    assert np.array_equal(_brute_nearest_sq(a, b), brute_nearest_sq_4m_blocks(a, b))
+    assert np.array_equal(_brute_nearest_sq(a, b), difference_form_nearest_sq(a, b))
+
+
+def _lattice(k: int) -> np.ndarray:
+    axis = np.arange(k, dtype=np.float64)
+    return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+
+
+def _adversarial_case(name: str, rng) -> tuple[np.ndarray, np.ndarray]:
+    # 9261 lattice points: the ties also fall in the second reference slice
+    grid = _lattice(21) * 0.1
+    picks = grid[rng.choice(len(grid), size=1500, replace=False)]
+    if name == "lattice_own_points":
+        return picks, grid
+    if name == "lattice_cell_centres":
+        # up to eight reference points tie exactly for each query
+        return picks + 0.05, grid
+    if name == "lattice_face_centres":
+        return picks + [0.05, 0.05, 0.0], grid
+    if name == "duplicated_reference":
+        base = rng.normal(size=(300, 3))
+        return rng.normal(size=(500, 3)), base[rng.integers(0, 300, size=3000)]
+    if name == "offset_cancellation":
+        # |a|^2 is ~1e8 times the squared gaps between the points
+        a = 7.0 + 1e-4 * rng.normal(size=(2000, 3))
+        return a, 7.0 + 1e-4 * rng.normal(size=(2500, 3))
+    if name == "one_query":
+        return rng.normal(size=(1, 3)), rng.normal(size=(20_000, 3))
+    assert name == "one_reference"
+    return rng.normal(size=(3000, 3)), rng.normal(size=(1, 3))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["lattice_own_points", "lattice_cell_centres", "lattice_face_centres",
+     "duplicated_reference", "offset_cancellation", "one_query", "one_reference"],
+)
+def test_exact_on_adversarial_clouds(rng, name):
+    a, b = _adversarial_case(name, rng)
+    assert np.array_equal(_brute_nearest_sq(a, b), difference_form_nearest_sq(a, b))
+
+
+@pytest.mark.parametrize("n", [3000, 10_000])
+def test_self_distance_is_exactly_zero(rng, n):
+    pts = rng.normal(size=(n, 3))
+    assert np.array_equal(nearest_distances(pts, pts), np.zeros(n))
+
+
+def test_memory_stays_flat_on_a_large_reference(rng):
+    a = rng.normal(size=(100, 3))
+    b = rng.normal(size=(1_000_000, 3))
+    tracemalloc.start()
+    try:
+        nearest_distances(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12_000_000
 
 
 class TestChamferHausdorff:
@@ -166,6 +215,10 @@ class TestChamferHausdorff:
         pts = rng.normal(size=(200, 3))
         assert chamfer(pts, pts) == 0.0
         assert hausdorff(pts, pts) == 0.0
+
+    def test_identity_is_zero_on_a_large_cloud(self, rng):
+        pts = rng.normal(size=(5000, 3))
+        assert chamfer_hausdorff(pts, pts) == (0.0, 0.0)
 
     def test_symmetry(self, rng):
         a = rng.normal(size=(50, 3))
@@ -230,6 +283,19 @@ class TestVoxelFilter:
     def test_empty_cloud(self):
         out = voxel_filter(PointCloud.empty(), VoxelFilterConfig(1.0, 2))
         assert len(out) == 0
+
+
+@pytest.mark.parametrize(
+    "n, spread", [(1, 5), (2000, 3), (2000, 40), (30_000, 1000)]
+)
+def test_voxel_groups_match_unique_rows(rng, n, spread):
+    keys = rng.integers(-spread, spread, size=(n, 3))
+    want = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )[1:]
+    for got, expected in zip(_voxel_groups(keys), want):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
 
 
 class TestVoxelDownsample:
