@@ -271,11 +271,10 @@ def train_autodecoder(
     )
     n = points.shape[0]
 
-    vel_w = [np.zeros_like(w) for w in params.weights]
-    vel_b = [np.zeros_like(b) for b in params.biases]
+    tensors = params.weights + params.biases
+    velocities = [np.zeros_like(t) for t in tensors]
     vel_z = np.zeros_like(codes)
-    weights = [w.copy() for w in params.weights]
-    biases = [b.copy() for b in params.biases]
+    dims = np.arange(cfg.latent_dim)
     losses: list[float] = []
 
     lr = cfg.learning_rate
@@ -288,33 +287,33 @@ def train_autodecoder(
             obj = owner[batch]
             z_rows = codes[obj]
             x = np.concatenate([z_rows, points[batch]], axis=1)
-            live = DecoderParams(cfg.latent_dim, tuple(weights), tuple(biases))
-            acts = _forward_acts(live, x)
+            acts = _forward_acts(params, x)
             pred = acts[-1][:, 0]
             loss, dpred = _loss_terms(pred, target[batch], z_rows, cfg)
             epoch_loss += loss * batch.shape[0]
-            gw, gb, gx = _backward(live, acts, dpred[:, None])
-            gz = np.zeros_like(codes)
-            np.add.at(gz, obj, gx[:, : cfg.latent_dim])
-            # prior gradient: 2 lambda z per sample, averaged over the batch
-            np.add.at(
-                gz,
-                obj,
-                (2.0 * cfg.code_prior_weight / batch.shape[0]) * z_rows,
-            )
-            for i in range(len(weights)):
-                vel_w[i] = cfg.momentum * vel_w[i] - lr * gw[i]
-                vel_b[i] = cfg.momentum * vel_b[i] - lr * gb[i]
-                weights[i] = weights[i] + vel_w[i]
-                biases[i] = biases[i] + vel_b[i]
-            vel_z = cfg.momentum * vel_z - code_lr * gz
-            codes = codes + vel_z
+            gw, gb, gx = _backward(params, acts, dpred[:, None])
+            # one scatter-add per code entry: every data term in batch
+            # order, then the prior gradient 2 lambda z per sample,
+            # averaged over the batch
+            idx = (obj[:, None] * cfg.latent_dim + dims).ravel()
+            prior = (2.0 * cfg.code_prior_weight / batch.shape[0]) * z_rows
+            gz = np.bincount(
+                np.concatenate([idx, idx]),
+                weights=np.concatenate([gx[:, : cfg.latent_dim].ravel(), prior.ravel()]),
+                minlength=codes.size,
+            ).reshape(codes.shape)
+            for t, v, g in zip(tensors, velocities, gw + gb):
+                v *= cfg.momentum
+                v -= lr * g
+                t += v
+            vel_z *= cfg.momentum
+            vel_z -= code_lr * gz
+            codes += vel_z
         losses.append(epoch_loss / n)
         lr *= cfg.lr_decay
         code_lr *= cfg.lr_decay
 
-    final = DecoderParams(cfg.latent_dim, tuple(weights), tuple(biases))
-    return AutoDecoderResult(final, [codes[i].copy() for i in range(n_obj)], losses)
+    return AutoDecoderResult(params, [codes[i].copy() for i in range(n_obj)], losses)
 
 
 def infer_latent(

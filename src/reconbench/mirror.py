@@ -8,8 +8,11 @@ into that virtual view.  Fusing both views' back-projections yields the
 reconstruction, with per-point provenance kept intact.
 
 Convolutions are written out by hand, matching the package's
-no-framework training style: each layer is one matrix product of its
-weights with im2col columns that span the whole batch.
+no-framework training style.  The network runs one image at a time on a
+flat, zero-ringed layout (``_Flat``): each layer is one matrix product
+of its weights with that image's im2col columns, built by nine
+contiguous slice copies, and training reuses the forward pass's columns
+for the weight gradients.
 """
 from __future__ import annotations
 
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from pathlib import Path
 
@@ -151,83 +153,129 @@ def init_mirror_model(
     return MirrorModelParams(tuple(weights), tuple(biases))
 
 
-def _im2col(x: np.ndarray) -> np.ndarray:
-    """(C, N, H, W) -> (C*9, N*H*W) patches under zero padding.
+class _Flat:
+    """Flat layout of one H x W image's channels: zero ring, zero margins.
 
-    Row ``(c*3 + ky)*3 + kx`` holds channel ``c`` shifted by
-    ``(ky - 1, kx - 1)``, so the rows line up with the columns of
-    ``w.reshape(out, -1)``; column ``(n*H + y)*W + x`` is pixel
-    ``(y, x)`` of image ``n``.  One copy out of a strided window view.
+    Channel ``c`` is row ``c`` of a ``(C, m + (H+2)(W+2) + m)`` array:
+    the zero-padded image in raster order between ``m = W + 3`` zeros on
+    each side.  Tap ``(ky, kx)`` of the 3x3 kernel at every padded
+    position is then one contiguous slice, shifted by
+    ``(ky - 1)(W + 2) + (kx - 1)``, which the margins keep in bounds.
+    Values computed at ring positions are meaningless until the ring is
+    zeroed again.
     """
-    c, n, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (PAD, PAD), (PAD, PAD)))
-    windows = sliding_window_view(xp, (KERNEL, KERNEL), axis=(2, 3))
-    return windows.transpose(0, 4, 5, 1, 2, 3).reshape(c * KERNEL * KERNEL, n * h * w)
+
+    def __init__(self, h: int, w: int):
+        self.h, self.w = h, w
+        row = w + 2 * PAD
+        self.size = (h + 2 * PAD) * row
+        margin = PAD * row + PAD
+        self.length = self.size + 2 * margin
+        self.body = slice(margin, margin + self.size)
+        self.taps = [
+            margin + (ky - PAD) * row + (kx - PAD)
+            for ky in range(KERNEL)
+            for kx in range(KERNEL)
+        ]
+
+    def zeros(self, channels: int) -> np.ndarray:
+        return np.zeros((channels, self.length))
+
+    def columns(self, channels: int) -> np.ndarray:
+        return np.empty((channels * KERNEL * KERNEL, self.size))
+
+    def padded(self, flat: np.ndarray) -> np.ndarray:
+        """(C, H+2, W+2) view of the padded image."""
+        return flat[:, self.body].reshape(-1, self.h + 2 * PAD, self.w + 2 * PAD)
+
+    def interior(self, flat: np.ndarray) -> np.ndarray:
+        """(C, H, W) view of the image itself."""
+        return self.padded(flat)[:, PAD:-PAD, PAD:-PAD]
+
+    def zero_ring(self, flat: np.ndarray) -> None:
+        padded = self.padded(flat)
+        padded[:, :PAD] = 0.0
+        padded[:, -PAD:] = 0.0
+        padded[:, :, :PAD] = 0.0
+        padded[:, :, -PAD:] = 0.0
+
+    def im2col(self, flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Fill ``cols`` with the columns of ``flat`` at every padded
+        position: row ``(c*3 + ky)*3 + kx`` is channel ``c`` shifted by
+        ``(ky - 1, kx - 1)``, lining up with ``w.reshape(out, -1)``."""
+        taps = cols.reshape(flat.shape[0], KERNEL * KERNEL, self.size)
+        for k, start in enumerate(self.taps):
+            taps[:, k] = flat[:, start : start + self.size]
+        return cols
+
+
+def _conv_flat(layout: _Flat, src, cols, w, b, dst) -> np.ndarray:
+    """One 3x3 layer from flat ``src`` into the body of flat ``dst``.
+
+    ``src``'s ring must be zero; ``cols`` is left holding its columns.
+    Returns the (O, (H+2)(W+2)) body, whose ring is not yet zeroed.
+    """
+    out = dst[:, layout.body]
+    np.matmul(w.reshape(w.shape[0], -1), layout.im2col(src, cols), out=out)
+    out += b[:, None]
+    return out
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Same-size 3x3 convolution of a (N, C, H, W) batch.
+    """Same-size 3x3 convolution of a (N, C, H, W) batch, image by image."""
+    n, c, h, wd = x.shape
+    layout = _Flat(h, wd)
+    src, dst = layout.zeros(c), layout.zeros(w.shape[0])
+    cols = layout.columns(c)
+    out = np.empty((n, w.shape[0], h, wd))
+    for image, result in zip(x, out):
+        layout.interior(src)[...] = image
+        _conv_flat(layout, src, cols, w, b, dst)
+        result[...] = layout.interior(dst)
+    return out
 
-    One matrix product of the flattened kernel with the columns of the
-    whole batch.  The result is a (N, O, H, W) view of a contiguous
-    (O, N, H, W) array, so the next layer's ``_im2col`` reads it
-    without a copy.
+
+def _net_buffers(params: MirrorModelParams, layout: _Flat):
+    """Flat input and layer outputs, plus every layer's input columns.
+
+    One image's columns are small enough to hold from the forward pass
+    to the backward pass (5.6 MB at 64 x 64 for widths (8, 8, 1)), where
+    a batch's were not: one 8-channel layer of six such images took
+    14 MB, and holding them made every call fault in fresh memory.
     """
-    n, _, h, wd = x.shape
-    out = w.reshape(w.shape[0], -1) @ _im2col(x.transpose(1, 0, 2, 3))
-    out += b[:, None]
-    return out.reshape(-1, n, h, wd).transpose(1, 0, 2, 3)
+    acts = [layout.zeros(2)] + [layout.zeros(w.shape[0]) for w in params.weights]
+    cols = [layout.columns(w.shape[1]) for w in params.weights]
+    return acts, cols
 
 
-def _net_forward(params: MirrorModelParams, x: np.ndarray):
-    """Returns (output (N, H, W), every layer's input and output).
+def _net_forward(params: MirrorModelParams, layout: _Flat, acts, cols) -> None:
+    """Run the network on the image in ``acts[0]``.
 
-    Only activations are kept, not columns: columns are nine times
-    larger per channel, and holding them made every call fault in
-    fresh memory.
+    Fills ``acts[i + 1]`` with layer ``i``'s output and ``cols[i]`` with
+    its input columns.  Hidden outputs are rectified and their ring is
+    zeroed, so it pads the next layer.
     """
-    acts = [x]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        out = conv2d(acts[-1], w, b)
+        out = _conv_flat(layout, acts[i], cols[i], w, b, acts[i + 1])
         if i < last:
             np.maximum(out, 0.0, out=out)
-        acts.append(out)
-    return acts[-1][:, 0], acts
-
-
-def _net_backward(params: MirrorModelParams, acts, dout: np.ndarray):
-    """Weight and bias gradients from ``_net_forward``'s activations.
-
-    Gradients are (C, N*H*W) and each layer rebuilds its input's
-    columns.  A layer's input gradient is the same-size convolution of
-    its output gradient with the kernel transposed over channels and
-    flipped in space, so it too is one product with ``_im2col``
-    columns.  Layer 0's is not formed.
-    """
-    n, h, wd = dout.shape
-    grad = dout.reshape(1, -1)
-    last = len(params.weights) - 1
-    gw = [np.empty(0)] * len(params.weights)
-    gb = [np.empty(0)] * len(params.weights)
-    for i in range(last, -1, -1):
-        w = params.weights[i]
-        if i < last:
-            grad *= acts[i + 1].transpose(1, 0, 2, 3).reshape(grad.shape) > 0.0
-        gw[i] = (grad @ _im2col(acts[i].transpose(1, 0, 2, 3)).T).reshape(w.shape)
-        gb[i] = grad.sum(axis=1)
-        if i > 0:
-            flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(w.shape[1], -1)
-            grad = flipped @ _im2col(grad.reshape(-1, n, h, wd))
-    return gw, gb
+            layout.zero_ring(acts[i + 1])
 
 
 def mirror_forward(params: MirrorModelParams, splat: np.ndarray,
                    mask: np.ndarray) -> np.ndarray:
     """Raw network output for one splat/mask pair, shape (H, W)."""
-    x = np.stack([splat, mask])[None]
-    out, _ = _net_forward(params, x)
-    return out[0]
+    splat, mask = np.asarray(splat), np.asarray(mask)
+    if splat.ndim != 2 or splat.shape != mask.shape:
+        raise InvalidInputError(
+            f"splat {splat.shape} and mask {mask.shape} must be images of one shape"
+        )
+    layout = _Flat(*splat.shape)
+    acts, cols = _net_buffers(params, layout)
+    layout.interior(acts[0])[...] = (splat, mask)
+    _net_forward(params, layout, acts, cols)
+    return layout.interior(acts[-1])[0].copy()
 
 
 def masked_l1_loss(outputs: np.ndarray, targets: np.ndarray):
@@ -237,27 +285,70 @@ def masked_l1_loss(outputs: np.ndarray, targets: np.ndarray):
     contribute nothing, so the network is free there.
     """
     mask = targets > 0.0
-    count = int(mask.sum())
-    if count == 0:
-        raise InvalidInputError("no valid pixels in any target")
+    count = _valid_count(mask)
     diff = (outputs - targets) * mask
     loss = np.abs(diff).sum() / count
     dout = np.sign(diff) / count
     return float(loss), dout
 
 
+def _valid_count(mask: np.ndarray) -> int:
+    count = int(mask.sum())
+    if count == 0:
+        raise InvalidInputError("no valid pixels in any target")
+    return count
+
+
 def training_loss_gradients(
     params: MirrorModelParams, inputs: np.ndarray, targets: np.ndarray
 ):
-    """Loss and full parameter gradients for a batch.
+    """``masked_l1_loss`` of a batch and its full parameter gradients.
 
-    ``inputs`` is (N, 2, H, W); ``targets`` is (N, H, W).  Exposed for
-    the finite-difference gradient validation.
+    ``inputs`` is (N, 2, H, W); ``targets`` is (N, H, W).  The valid
+    pixels of the whole batch are counted first; then each image runs
+    forward, keeping its columns, and straight back.  A layer's weight
+    gradient is its output gradient times those columns.  Its input
+    gradient is the same-size convolution of the output gradient with
+    the kernel transposed over channels and flipped in space, whose ring
+    the rectifier mask of the layer below then zeroes.  Layer 0's is not
+    formed.  Exposed for the finite-difference gradient validation.
     """
-    out, acts = _net_forward(params, inputs)
-    loss, dout = masked_l1_loss(out, targets)
-    gw, gb = _net_backward(params, acts, dout)
-    return loss, gw, gb
+    n, _, h, wd = inputs.shape
+    valid = targets > 0.0
+    count = _valid_count(valid)
+    layout = _Flat(h, wd)
+    acts, cols = _net_buffers(params, layout)
+    # the columns of layer i's output gradient go into cols[i + 1],
+    # which has as many channels and is spent by then
+    cols.append(layout.columns(1))
+    # d loss / d each layer's output, flat
+    grads = [layout.zeros(w.shape[0]) for w in params.weights]
+    flipped = [
+        w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(w.shape[1], -1)
+        for w in params.weights
+    ]
+    gw = [np.zeros(w.shape) for w in params.weights]
+    gb = [np.zeros(b.shape) for b in params.biases]
+    diff = np.empty(targets.shape)
+    last = len(params.weights) - 1
+    for k in range(n):
+        layout.interior(acts[0])[...] = inputs[k]
+        _net_forward(params, layout, acts, cols)
+        diff[k] = (layout.interior(acts[-1])[0] - targets[k]) * valid[k]
+        layout.interior(grads[last])[0] = np.sign(diff[k]) / count
+        for i in range(last, -1, -1):
+            grad = grads[i][:, layout.body]
+            if i < last:
+                grad *= acts[i + 1][:, layout.body] > 0.0
+            gw[i] += (grad @ cols[i].T).reshape(gw[i].shape)
+            gb[i] += grad.sum(axis=1)
+            if i > 0:
+                np.matmul(
+                    flipped[i],
+                    layout.im2col(grads[i], cols[i + 1]),
+                    out=grads[i - 1][:, layout.body],
+                )
+    return float(np.abs(diff).sum() / count), gw, gb
 
 
 @dataclass
@@ -272,6 +363,14 @@ TrainingPair = tuple[tuple[DepthImage, DepthImage], DepthImage]
 def _batch_from_pairs(pairs: Sequence[TrainingPair]):
     if not pairs:
         raise InvalidInputError("need at least one training pair")
+    shape = pairs[0][0][0].depth.shape
+    for i, ((splat, mask), target) in enumerate(pairs):
+        shapes = (splat.depth.shape, mask.depth.shape, target.depth.shape)
+        if any(s != shape for s in shapes):
+            raise InvalidInputError(
+                f"training pair {i} has splat/mask/target shapes {shapes}; "
+                f"pair 0's splat is {shape}"
+            )
     inputs = np.stack(
         [np.stack([inp[0].depth, inp[1].depth]) for inp, _ in pairs]
     )
@@ -284,29 +383,25 @@ def train_mirror_model(
 ) -> MirrorTrainResult:
     """Fit the completion network on (input pair, target) examples.
 
-    Full-batch gradient descent; each epoch is one step.  Zero epochs
-    returns the freshly initialized parameters untouched.  Fixed seeds
-    reproduce parameters exactly.
+    Full-batch gradient descent; each epoch is one step, updating the
+    parameters in place.  Zero epochs returns the freshly initialized
+    parameters untouched.  Fixed seeds reproduce parameters exactly.
     """
     inputs, targets = _batch_from_pairs(pairs)
     params = init_mirror_model(cfg)
-    weights = [w.copy() for w in params.weights]
-    biases = [b.copy() for b in params.biases]
-    vel_w = [np.zeros_like(w) for w in weights]
-    vel_b = [np.zeros_like(b) for b in biases]
+    tensors = params.weights + params.biases
+    velocities = [np.zeros_like(t) for t in tensors]
     losses: list[float] = []
     lr = cfg.learning_rate
     for _ in range(cfg.epochs):
-        live = MirrorModelParams(tuple(weights), tuple(biases))
-        loss, gw, gb = training_loss_gradients(live, inputs, targets)
+        loss, gw, gb = training_loss_gradients(params, inputs, targets)
         losses.append(loss)
-        for i in range(len(weights)):
-            vel_w[i] = cfg.momentum * vel_w[i] - lr * gw[i]
-            vel_b[i] = cfg.momentum * vel_b[i] - lr * gb[i]
-            weights[i] = weights[i] + vel_w[i]
-            biases[i] = biases[i] + vel_b[i]
+        for t, v, g in zip(tensors, velocities, gw + gb):
+            v *= cfg.momentum
+            v -= lr * g
+            t += v
         lr *= cfg.lr_decay
-    return MirrorTrainResult(MirrorModelParams(tuple(weights), tuple(biases)), losses)
+    return MirrorTrainResult(params, losses)
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,58 @@ def sphere_samples(unit_sphere):
     return sample_training_set(unit_sphere, SamplingConfig(total_count=400, seed=1))
 
 
+def frozen_train_autodecoder(samples_per_object, cfg):
+    """The training loop as it was before it updated in place and
+    scattered code gradients with one ``bincount``: a fresh validated
+    ``DecoderParams`` per batch, two ``np.add.at`` calls, and momentum
+    updates that rebind every array."""
+    rng = np.random.default_rng(cfg.seed)
+    params = init_decoder(cfg, rng)
+    n_obj = len(samples_per_object)
+    codes = rng.normal(0.0, cfg.code_init_sigma, size=(n_obj, cfg.latent_dim))
+    points = np.concatenate([s.points for s in samples_per_object])
+    target = np.concatenate([s.sdf for s in samples_per_object])
+    owner = np.concatenate(
+        [np.full(len(s), i, dtype=np.int64) for i, s in enumerate(samples_per_object)]
+    )
+    n = points.shape[0]
+    vel_w = [np.zeros_like(w) for w in params.weights]
+    vel_b = [np.zeros_like(b) for b in params.biases]
+    vel_z = np.zeros_like(codes)
+    weights = [w.copy() for w in params.weights]
+    biases = [b.copy() for b in params.biases]
+    losses = []
+    lr = cfg.learning_rate
+    code_lr = cfg.code_learning_rate
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        epoch_loss = 0.0
+        for s in range(0, n, cfg.batch_size):
+            batch = perm[s : s + cfg.batch_size]
+            obj = owner[batch]
+            z_rows = codes[obj]
+            x = np.concatenate([z_rows, points[batch]], axis=1)
+            live = DecoderParams(cfg.latent_dim, tuple(weights), tuple(biases))
+            acts = _forward_acts(live, x)
+            loss, dpred = _loss_terms(acts[-1][:, 0], target[batch], z_rows, cfg)
+            epoch_loss += loss * batch.shape[0]
+            gw, gb, gx = _backward(live, acts, dpred[:, None])
+            gz = np.zeros_like(codes)
+            np.add.at(gz, obj, gx[:, : cfg.latent_dim])
+            np.add.at(gz, obj, (2.0 * cfg.code_prior_weight / batch.shape[0]) * z_rows)
+            for i in range(len(weights)):
+                vel_w[i] = cfg.momentum * vel_w[i] - lr * gw[i]
+                vel_b[i] = cfg.momentum * vel_b[i] - lr * gb[i]
+                weights[i] = weights[i] + vel_w[i]
+                biases[i] = biases[i] + vel_b[i]
+            vel_z = cfg.momentum * vel_z - code_lr * gz
+            codes = codes + vel_z
+        losses.append(epoch_loss / n)
+        lr *= cfg.lr_decay
+        code_lr *= cfg.lr_decay
+    return weights, biases, codes, losses
+
+
 class TestTraining:
 
     def test_loss_decreases(self, sphere_samples):
@@ -229,6 +281,25 @@ class TestTraining:
         assert all(np.array_equal(x, y) for x, y in zip(a.params.weights, b.params.weights))
         assert all(np.array_equal(x, y) for x, y in zip(a.codes, b.codes))
         assert a.epoch_losses == b.epoch_losses
+
+    def test_bit_identical_to_the_frozen_loop(self, rng):
+        # two objects with unequal sample counts, a batch size that does
+        # not divide the total, momentum and a decaying step
+        samples = [
+            SdfSamples(rng.normal(size=(n, 3)), rng.uniform(-0.2, 0.2, size=n))
+            for n in (130, 57)
+        ]
+        cfg = tiny_config(
+            epochs=6, batch_size=40, momentum=0.9, lr_decay=0.9,
+            learning_rate=5e-3, code_learning_rate=5e-3, code_prior_weight=1e-2,
+        )
+        result = train_autodecoder(samples, cfg)
+        weights, biases, codes, losses = frozen_train_autodecoder(samples, cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(result.params.weights, weights))
+        assert all(np.array_equal(a, b) for a, b in zip(result.params.biases, biases))
+        assert all(np.array_equal(a, b) for a, b in zip(result.codes, codes))
+        assert result.epoch_losses == losses
+        assert not np.array_equal(result.codes[0], result.codes[1])
 
     def test_zero_epochs_returns_initialization(self, sphere_samples):
         cfg = tiny_config(epochs=0, seed=9)

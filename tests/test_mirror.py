@@ -1,7 +1,10 @@
 """Mirrored-view completion: virtual poses, the convolution network, its
 gradients, training, fusion, and persistence."""
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from reconbench.depth import DepthImage, render_depth
 from reconbench.errors import InvalidInputError, MissingArtifactError
@@ -114,6 +117,29 @@ def einsum_loss_gradients(params, inputs, targets):
     return loss, gw, gb
 
 
+def batch_conv2d(x, w, b):
+    """The batch-wide convolution the per-image kernel replaced, kept as
+    an oracle: one product of the kernel with (C*9, N*H*W) columns cut
+    from a padded copy of the whole batch."""
+    n, c, h, wd = x.shape
+    xp = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (PAD, PAD), (PAD, PAD)))
+    windows = sliding_window_view(xp, (KERNEL, KERNEL), axis=(2, 3))
+    cols = windows.transpose(0, 4, 5, 1, 2, 3).reshape(c * KERNEL * KERNEL, n * h * wd)
+    out = w.reshape(w.shape[0], -1) @ cols
+    out += b[:, None]
+    return out.reshape(-1, n, h, wd).transpose(1, 0, 2, 3)
+
+
+def batch_forward(params, x):
+    """Network output (N, H, W) through ``batch_conv2d``."""
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        x = batch_conv2d(x, w, b)
+        if i < last:
+            x = np.maximum(x, 0.0)
+    return x[:, 0]
+
+
 def odd_batch(rng, n=5, h=7, w=13):
     """Splat-like inputs with holes and targets with invalid pixels."""
     splat = rng.uniform(0.5, 2.0, size=(n, h, w)) * (rng.random((n, h, w)) > 0.3)
@@ -205,7 +231,7 @@ class TestConvolution:
 
     def test_batched_layout_matches_reference(self, rng):
         # several images, unequal sides and wide layers: every axis of
-        # the (C*9, N*H*W) columns is exercised
+        # the flat layout and its columns is exercised
         for c_in, c_out in ((8, 8), (2, 8), (8, 1), (3, 5)):
             x = rng.normal(size=(3, c_in, 9, 11))
             w = rng.normal(size=(c_out, c_in, 3, 3))
@@ -214,6 +240,41 @@ class TestConvolution:
             assert fast.shape == (3, c_out, 9, 11)
             for image, out in zip(x, fast):
                 assert np.max(np.abs(out - conv2d_reference(image, w, b))) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(64, 64), (32, 32), (48, 40)])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_bit_identical_to_batch_columns(self, rng, shape, n):
+        for c_in, c_out in ((2, 8), (8, 8), (8, 1), (3, 5)):
+            x = rng.normal(size=(n, c_in, *shape))
+            w = rng.normal(size=(c_out, c_in, 3, 3))
+            b = rng.normal(size=c_out)
+            assert np.array_equal(conv2d(x, w, b), batch_conv2d(x, w, b))
+
+    @pytest.mark.parametrize("shape", [(64, 64), (32, 32), (48, 40)])
+    def test_forward_bit_identical_to_batch_columns(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        inputs, _ = odd_batch(rng, n=3, h=shape[0], w=shape[1])
+        for channels in ((8, 8, 1), (3, 5, 1)):
+            params = tiny_net(channels=channels, seed=len(channels))
+            expect = batch_forward(params, inputs)
+            for image, want in zip(inputs, expect):
+                assert np.array_equal(mirror_forward(params, image[0], image[1]), want)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_odd_sizes_match_batch_columns_and_ignore_the_batch(self, rng, n):
+        # with an odd pixel count the batch product's last few columns
+        # went through BLAS's narrow edge kernels, so those pixels came
+        # out differently rounded than when the same image ran alone;
+        # image by image, every output pixel is independent of the batch
+        for c_in, c_out in ((2, 8), (8, 8), (8, 1), (3, 5)):
+            x = rng.normal(size=(n, c_in, 9, 11))
+            w = rng.normal(size=(c_out, c_in, 3, 3))
+            b = rng.normal(size=c_out)
+            got = conv2d(x, w, b)
+            want = batch_conv2d(x, w, b)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
+            for i in range(n):
+                assert np.array_equal(conv2d(x[i : i + 1], w, b)[0], got[i])
 
     def test_identity_kernel(self, rng):
         x = rng.normal(size=(1, 1, 5, 5))
@@ -249,7 +310,8 @@ class TestLossAndGradients:
 
     def test_three_layer_gradients_match_finite_differences(self):
         # the middle layer's gradient passes through a rectifier mask
-        # and through the columns scattered back by _col2im
+        # and through the flipped-kernel product with the columns of the
+        # last layer's output gradient
         assert self.finite_difference_checks((4, 3, 1)) >= 20
 
     def test_matches_per_image_einsum_kernels(self):
@@ -263,6 +325,35 @@ class TestLossAndGradients:
             for got, ref in zip(gw + gb, ref_gw + ref_gb):
                 assert got.shape == ref.shape
                 assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    def test_image_without_valid_target_pixels(self):
+        # the valid pixels are counted over the whole batch first, so an
+        # image whose target is blank adds no gradient and leaves the
+        # other images' scale as it was
+        rng = np.random.default_rng(8)
+        inputs, targets = odd_batch(rng, n=4, h=9, w=10)
+        targets[2] = 0.0
+        params = tiny_net(channels=(8, 8, 1), seed=3)
+        loss, gw, gb = training_loss_gradients(params, inputs, targets)
+        ref_loss, ref_gw, ref_gb = einsum_loss_gradients(params, inputs, targets)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for got, ref in zip(gw + gb, ref_gw + ref_gb):
+            assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    def test_peak_memory_below_one_batch_column_array(self):
+        # batch-wide columns of one 8-channel layer over six 64 x 64
+        # images took 72 rows x 24,576 pixels x 8 B = 14.2 MB; one step
+        # over twelve such images must peak below that in all
+        rng = np.random.default_rng(12)
+        inputs, targets = odd_batch(rng, n=12, h=64, w=64)
+        params = tiny_net(channels=(8, 8, 1), seed=0)
+        tracemalloc.start()
+        try:
+            training_loss_gradients(params, inputs, targets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6
 
     @staticmethod
     def finite_difference_checks(channels) -> int:
@@ -418,6 +509,17 @@ class TestTraining:
         with pytest.raises(InvalidInputError):
             train_mirror_model([], MirrorTrainConfig())
 
+    def test_unequal_pair_shapes_rejected(self):
+        def pair(shape, target_shape=None):
+            image = DepthImage(np.ones(shape))
+            return (image, image), DepthImage(np.ones(target_shape or shape))
+
+        cfg = MirrorTrainConfig(channels=(2, 1), epochs=1)
+        with pytest.raises(InvalidInputError, match=r"pair 1 .*\(6, 8\)"):
+            train_mirror_model([pair((8, 8)), pair((6, 8))], cfg)
+        with pytest.raises(InvalidInputError, match=r"pair 2 .*\(8, 9\)"):
+            train_mirror_model([pair((8, 8)), pair((8, 8)), pair((8, 8), (8, 9))], cfg)
+
 
 class TestCompletionAndFusion:
     def test_zero_network_gives_all_invalid(self, unit_sphere, front_camera):
@@ -433,6 +535,10 @@ class TestCompletionAndFusion:
         )
         raw = mirror_forward(params, np.ones((4, 4)), np.ones((4, 4)))
         assert np.all(raw < 0.0)
+
+    def test_forward_rejects_unequal_splat_and_mask(self):
+        with pytest.raises(InvalidInputError, match=r"\(4, 4\).*\(4, 5\)"):
+            mirror_forward(tiny_net(), np.ones((4, 4)), np.ones((4, 5)))
 
     def test_fusion_tags_points_by_origin(self, unit_sphere, front_camera):
         observed = render_depth(unit_sphere, front_camera)
