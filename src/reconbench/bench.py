@@ -40,7 +40,7 @@ from .fileio import (
     write_atomic,
 )
 from .geometry import CameraModel, PointCloud, camera_looking_at, normalize_to_unit_sphere
-from .metrics import chamfer_hausdorff, voxel_downsample, voxel_filter
+from .metrics import VoxelFilterConfig, chamfer_hausdorff, voxel_downsample, voxel_filter
 from .sdf import SdfSamples, sample_training_set
 from .shapes import CATEGORIES, ShapeSpec, build_mesh, sample_spec
 
@@ -59,6 +59,12 @@ _SEED_GT = 3
 _INFER_COARSE_DELTA = 0.5
 # voxel size both clouds are thinned to before chamfer and hausdorff
 _EVAL_DOWNSAMPLE_VOXEL = 0.02
+# drops the sparse stray points of a mirror reconstruction before scoring
+_EVAL_FILTER = VoxelFilterConfig(voxel_size=0.1, min_points_per_voxel=2)
+# the ring every view is rendered from: distance to the origin and the
+# largest elevation above or below the equator
+_CAMERA_RADIUS = 2.0
+_CAMERA_MAX_ELEVATION_DEG = 60.0
 
 
 @dataclass(frozen=True)
@@ -77,10 +83,11 @@ class EvalRecord:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidInputError(f"unknown method {self.method!r}")
-        if self.d_c < 0 or self.d_h < 0:
-            raise InvalidInputError("distances must be non-negative")
-        if self.inference_ms <= 0:
-            raise InvalidInputError("inference_ms must be strictly positive")
+        # chained comparisons are false for nan, so they also reject it
+        if not (0 <= self.d_c < np.inf and 0 <= self.d_h < np.inf):
+            raise InvalidInputError("d_c and d_h must be finite and non-negative")
+        if not 0 < self.inference_ms < np.inf:
+            raise InvalidInputError("inference_ms must be finite and strictly positive")
         if self.point_count < 0:
             raise InvalidInputError("point_count must be non-negative")
 
@@ -96,9 +103,9 @@ def _rng_for(entropy: Sequence[int], purpose: int) -> np.random.Generator:
 def ring_camera(rng: np.random.Generator, cfg: BenchConfig) -> CameraModel:
     """Random viewpoint on the camera ring around the origin."""
     azimuth = rng.uniform(0.0, 2.0 * np.pi)
-    max_el = np.deg2rad(cfg.camera_max_elevation_deg)
+    max_el = np.deg2rad(_CAMERA_MAX_ELEVATION_DEG)
     elevation = rng.uniform(-max_el, max_el)
-    r = cfg.camera_radius
+    r = _CAMERA_RADIUS
     eye = np.array(
         [
             r * np.cos(elevation) * np.cos(azimuth),
@@ -188,11 +195,18 @@ def generate_dataset(
     return manifest
 
 
+def _read_json(path: Path) -> dict:
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:
+        raise InvalidInputError(f"unreadable JSON in {path}: {exc}") from None
+
+
 def read_manifest(data_dir) -> dict:
     path = Path(data_dir) / "dataset.json"
     if not path.exists():
         raise MissingArtifactError(f"no dataset manifest at {path}")
-    return json.loads(path.read_text())
+    return _read_json(path)
 
 
 def _instance_dirs(data_dir, categories, split) -> list[Path]:
@@ -209,7 +223,7 @@ def _load_meta(inst_dir: Path) -> dict:
     path = inst_dir / "meta.json"
     if not path.exists():
         raise MissingArtifactError(f"missing instance metadata {path}")
-    return json.loads(path.read_text())
+    return _read_json(path)
 
 
 def load_view(inst_dir: Path, view: int) -> tuple[DepthImage, CameraModel]:
@@ -242,7 +256,6 @@ def _instance_samples(inst_dir: Path, cfg: BenchConfig) -> SdfSamples:
         "near_surface_fraction": repr(scfg.near_surface_fraction),
         "surface_noise_sigma": repr(scfg.surface_noise_sigma),
         "ball_radius": repr(scfg.ball_radius),
-        "negative_floor_tau": repr(scfg.negative_floor_tau),
     }
     cache = inst_dir / "sdf_samples.bin"
     if cache.exists():
@@ -347,7 +360,7 @@ def _infer_and_decode(
     obs = autodecoder.view_samples_for_inference(
         observed,
         cam,
-        value_cap=cfg.clamp_delta,
+        value_cap=decoder_cfg.clamp_delta,
         max_count=cfg.infer_max_samples,
     )
     z = autodecoder.infer_latent(decoder_params, obs, decoder_cfg, init=z)
@@ -383,7 +396,7 @@ def _evaluate_view(
             cloud, ms = _timed(
                 mirror.reconstruct_view_dependent, observed, cam, completion
             )
-            cloud = voxel_filter(cloud, cfg.filter_config())
+            cloud = voxel_filter(cloud, _EVAL_FILTER)
         if len(cloud) == 0:
             raise InvalidInputError(
                 f"{method} produced no points on {inst_dir.name} view {view}"
@@ -481,18 +494,11 @@ def read_results(path) -> list[EvalRecord]:
         parts = line.split(",")
         if len(parts) != 8:
             raise InvalidInputError(f"malformed results row: {line!r}")
-        records.append(
-            EvalRecord(
-                method=parts[0],
-                category=parts[1],
-                instance=parts[2],
-                view=int(parts[3]),
-                d_c=float(parts[4]),
-                d_h=float(parts[5]),
-                inference_ms=float(parts[6]),
-                point_count=int(parts[7]),
-            )
-        )
+        try:
+            numbers = (int(parts[3]), *map(float, parts[4:7]), int(parts[7]))
+            records.append(EvalRecord(*parts[:3], *numbers))
+        except ValueError as exc:
+            raise InvalidInputError(f"malformed results row {line!r}: {exc}") from None
     return records
 
 

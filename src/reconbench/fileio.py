@@ -79,9 +79,15 @@ def load_obj(path) -> TriangleMesh:
     vertices: list[list[float]] = []
     faces: list[tuple[int, int, int]] = []
 
-    def resolve(token: str) -> int:
+    def number(cast, text: str, lineno: int):
+        try:
+            return cast(text)
+        except ValueError:
+            raise InvalidInputError(f"{path}:{lineno}: not a number: {text!r}") from None
+
+    def resolve(token: str, lineno: int) -> int:
         raw = token.split("/")[0]
-        idx = int(raw)
+        idx = number(int, raw, lineno)
         if idx < 0:
             idx = len(vertices) + idx
         else:
@@ -91,16 +97,16 @@ def load_obj(path) -> TriangleMesh:
         return idx
 
     with open(path, "r") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts or parts[0].startswith("#"):
                 continue
             if parts[0] == "v":
                 if len(parts) < 4:
                     raise InvalidInputError(f"malformed vertex line in {path}: {line!r}")
-                vertices.append([float(parts[1]), float(parts[2]), float(parts[3])])
+                vertices.append([number(float, x, lineno) for x in parts[1:4]])
             elif parts[0] == "f":
-                idx = [resolve(tok) for tok in parts[1:]]
+                idx = [resolve(tok, lineno) for tok in parts[1:]]
                 if len(idx) < 3:
                     raise InvalidInputError(f"face with fewer than 3 vertices in {path}")
                 for k in range(1, len(idx) - 1):

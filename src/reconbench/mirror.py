@@ -239,9 +239,7 @@ def _net_buffers(params: MirrorModelParams, layout: _Flat):
     """Flat input and layer outputs, plus every layer's input columns.
 
     One image's columns are small enough to hold from the forward pass
-    to the backward pass (5.6 MB at 64 x 64 for widths (8, 8, 1)), where
-    a batch's were not: one 8-channel layer of six such images took
-    14 MB, and holding them made every call fault in fresh memory.
+    to the backward pass (5.6 MB at 64 x 64 for widths (8, 8, 1)).
     """
     acts = [layout.zeros(2)] + [layout.zeros(w.shape[0]) for w in params.weights]
     cols = [layout.columns(w.shape[1]) for w in params.weights]

@@ -222,18 +222,12 @@ class MeshSdf:
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    """Controls for drawing SDF training samples around one object.
-
-    ``negative_floor_tau`` is meant for surfaces whose inside is not
-    trustworthy (for example pseudo-watertight scans): when set, samples
-    with sdf < -tau are discarded.  Leave it None for closed meshes.
-    """
+    """Controls for drawing SDF training samples around one object."""
 
     total_count: int = 50_000
     near_surface_fraction: float = 0.9
     surface_noise_sigma: float = 0.02
     ball_radius: float = GRID_RADIUS
-    negative_floor_tau: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -243,8 +237,6 @@ class SamplingConfig:
             raise InvalidInputError("near_surface_fraction must lie in [0, 1]")
         if self.surface_noise_sigma < 0:
             raise InvalidInputError("surface_noise_sigma must be non-negative")
-        if self.negative_floor_tau is not None and self.negative_floor_tau < 0:
-            raise InvalidInputError("negative_floor_tau must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -276,9 +268,7 @@ def sample_training_set(mesh: TriangleMesh, cfg: SamplingConfig) -> SdfSamples:
     A near-surface share of the budget is surface points perturbed by
     isotropic Gaussian noise; the rest is uniform in a ball of
     ``ball_radius``.  Every sample stores the exact signed distance.
-    The output is deterministic given the config (the seed lives there)
-    and may be smaller than ``total_count`` when the negative floor
-    discards samples.
+    The output is deterministic given the config (the seed lives there).
     """
     if cfg.total_count == 0:
         return SdfSamples.empty()
@@ -296,11 +286,7 @@ def sample_training_set(mesh: TriangleMesh, cfg: SamplingConfig) -> SdfSamples:
         radii = cfg.ball_radius * np.cbrt(rng.random(n_far))
         parts.append(dirs * radii[:, None])
     pts = np.concatenate(parts) if parts else np.zeros((0, 3))
-    sdf = signed_distances(pts, mesh)
-    if cfg.negative_floor_tau is not None:
-        keep = sdf >= -cfg.negative_floor_tau
-        pts, sdf = pts[keep], sdf[keep]
-    return SdfSamples(pts, sdf)
+    return SdfSamples(pts, signed_distances(pts, mesh))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reconbench import bench
 from reconbench.bench import (
     METHODS,
     RESULTS_HEADER,
@@ -27,10 +28,11 @@ from reconbench.bench import (
 )
 from reconbench.cli import main
 from reconbench.autodecoder import load_decoder
-from reconbench.config import BenchConfig, apply_preset, load_config
+from reconbench.config import BenchConfig, load_config
 from reconbench.depth import render_depth
 from reconbench.errors import InvalidInputError, MissingArtifactError
 from reconbench.fileio import load_obj, load_pfm
+from reconbench.metrics import VoxelFilterConfig
 from reconbench.mirror import load_mirror_model
 from reconbench.sdf import GRID_RADIUS
 from reconbench.shapes import (
@@ -97,10 +99,11 @@ class TestRingCamera:
     def test_positions_stay_on_the_ring(self):
         cfg = BenchConfig()
         rng = np.random.default_rng(0)
-        max_z = cfg.camera_radius * np.sin(np.deg2rad(cfg.camera_max_elevation_deg))
+        radius = bench._CAMERA_RADIUS
+        max_z = radius * np.sin(np.deg2rad(bench._CAMERA_MAX_ELEVATION_DEG))
         for _ in range(200):
             cam = ring_camera(rng, cfg)
-            assert np.linalg.norm(cam.position) == pytest.approx(cfg.camera_radius)
+            assert np.linalg.norm(cam.position) == pytest.approx(radius)
             assert abs(cam.position[2]) <= max_z + 1e-12
 
     def test_viewpoints_vary(self):
@@ -230,6 +233,13 @@ class TestResults:
         with pytest.raises(InvalidInputError):
             EvalRecord("deepsdf", "mug", "000", 0, 0.1, 0.2, 3.5, -1)
 
+    @pytest.mark.parametrize("field", ["d_c", "d_h", "inference_ms"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_record_rejects_non_finite_values(self, field, value):
+        good = EvalRecord("deepsdf", "mug", "000", 0, 0.1, 0.2, 3.5, 1000)
+        with pytest.raises(InvalidInputError, match=field):
+            replace(good, **{field: value})
+
     def test_write_read_round_trip(self, tmp_path):
         records = [
             EvalRecord("mirror_oracle", "mug", "003", 2, 0.1 + 0.2, 1e-17, 0.25, 7),
@@ -252,6 +262,14 @@ class TestResults:
         bad_row.write_text(RESULTS_HEADER + "\ndeepsdf,mug,000,0,0.1\n")
         with pytest.raises(InvalidInputError):
             read_results(bad_row)
+
+    @pytest.mark.parametrize("d_c", ["abc", "nan"])
+    def test_read_rejects_a_bad_distance(self, tmp_path, d_c):
+        path = tmp_path / "results.csv"
+        row = f"deepsdf,mug,000,0,{d_c},0.2,3.5,1000"
+        path.write_text(f"{RESULTS_HEADER}\nmirror_oracle,mug,000,0,0.1,0.2,3.5,10\n{row}\n")
+        with pytest.raises(InvalidInputError, match=row):
+            read_results(path)
 
 
 def _toy_records():
@@ -327,20 +345,19 @@ class TestConfig:
             "# speed settings\n"
             "grid_resolution = 24\n"
             "decoder_hidden = 8, 8\n"
-            "sdf_noise_sigma = 0.05  # wider band\n"
-            "sdf_negative_floor_tau = 0.3\n"
+            "decoder_learning_rate = 0.005  # faster start\n"
+            "code_learning_rate = 0.002\n"
             "\n"
         )
         cfg = load_config(path)
         assert cfg.grid_resolution == 24
         assert cfg.decoder_hidden == (8, 8)
-        assert cfg.sdf_noise_sigma == pytest.approx(0.05)
-        assert cfg.sdf_negative_floor_tau == pytest.approx(0.3)
+        assert cfg.decoder_learning_rate == pytest.approx(0.005)
+        assert cfg.code_learning_rate == pytest.approx(0.002)
 
-    def test_none_clears_optional_value(self, tmp_path):
-        path = tmp_path / "bench.cfg"
-        path.write_text("sdf_negative_floor_tau = none\n")
-        assert load_config(path).sdf_negative_floor_tau is None
+    def test_zero_count_is_accepted(self):
+        # zero coarse steps is how the coarse inference pass is turned off
+        assert load_config(overrides={"infer_coarse_steps": 0}).infer_coarse_steps == 0
 
     def test_overrides_take_precedence(self, tmp_path):
         path = tmp_path / "bench.cfg"
@@ -365,25 +382,10 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             load_config(bad_line)
 
-    def test_full_preset_scales_up(self, tmp_path):
-        path = tmp_path / "bench.cfg"
-        path.write_text("preset = full\n")
-        cfg = load_config(path)
-        assert cfg.sdf_total_count == 5_000_000
-        assert cfg.latent_dim == 256
-        assert cfg.decoder_hidden == (512,) * 8
-        # untouched fields keep their desk defaults
-        assert cfg.grid_resolution == BenchConfig().grid_resolution
-
-    def test_unknown_preset_rejected(self):
-        with pytest.raises(InvalidInputError):
-            apply_preset(replace(BenchConfig(), preset="huge"))
-
     def test_derived_configs_carry_fields(self):
         cfg = replace(
             BenchConfig(),
             decoder_lr_decay=0.99,
-            mirror_lr_decay=0.98,
             latent_dim=4,
             decoder_hidden=(8,),
         )
@@ -395,22 +397,24 @@ class TestConfig:
         assert dec.seed == 7
         mir = cfg.mirror_config(9)
         assert mir.channels == cfg.mirror_channels
-        assert mir.lr_decay == pytest.approx(0.98)
         assert mir.seed == 9
         samp = cfg.sampling_config(3)
         assert samp.total_count == cfg.sdf_total_count
         assert samp.seed == 3
-        filt = cfg.filter_config()
-        assert filt.voxel_size == pytest.approx(cfg.eval_filter_voxel)
-        assert filt.min_points_per_voxel == cfg.eval_filter_min_points
         # fixed values without a config key still reach the sub-configs
         assert dec.momentum == 0.9
+        assert dec.batch_size == 256
+        assert dec.clamp_delta == 0.1
+        assert dec.code_prior_weight == 1e-4
         assert mir.learning_rate == 0.01
         assert mir.momentum == 0.9
+        assert mir.lr_decay == 1.0
         assert samp.near_surface_fraction == 0.9
+        assert samp.surface_noise_sigma == 0.02
         assert samp.ball_radius == GRID_RADIUS
         cam = ring_camera(np.random.default_rng(0), cfg)
         assert cam.fy == pytest.approx(cfg.image_height / 2 / np.tan(np.deg2rad(30.0)))
+        assert bench._EVAL_FILTER == VoxelFilterConfig(voxel_size=0.1, min_points_per_voxel=2)
 
     def test_removed_keys_are_unknown(self):
         for key in (
@@ -424,6 +428,17 @@ class TestConfig:
             "mirror_momentum",
             "eval_downsample_voxel",
             "mirror_train_image",
+            "camera_radius",
+            "camera_max_elevation_deg",
+            "sdf_noise_sigma",
+            "sdf_negative_floor_tau",
+            "decoder_batch_size",
+            "clamp_delta",
+            "code_prior_weight",
+            "mirror_lr_decay",
+            "eval_filter_voxel",
+            "eval_filter_min_points",
+            "preset",
         ):
             with pytest.raises(InvalidInputError, match="unknown config key"):
                 load_config(overrides={key: "0.5"})
@@ -524,7 +539,6 @@ def _write_speed_cfg(path: Path) -> Path:
         "latent_dim = 2\n"
         "decoder_hidden = 8\n"
         "decoder_epochs = 3\n"
-        "decoder_batch_size = 256\n"
         "infer_steps = 3\n"
         "infer_max_samples = 500\n"
         "grid_resolution = 12\n"
@@ -594,13 +608,36 @@ class TestCli:
 
     def test_none_is_a_bad_value_for_a_required_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        for line in ("image_width = none\n", "preset = null\n"):
+        for line in ("image_width = none\n", "decoder_learning_rate = none\n"):
             cfg.write_text(line)
             code = main(["gen-data", "--out", str(tmp_path / "ws"), "--config", str(cfg)])
             assert code == 1
             key = line.split()[0]
             assert f"error: bad value for {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "ws").exists()
+
+    @pytest.mark.parametrize("key", ["views_per_test_instance", "infer_coarse_steps"])
+    def test_negative_count_is_a_bad_value(self, tmp_path, capsys, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = -1\n")
+        code = main(["gen-data", "--out", str(tmp_path / "ws"), "--config", str(cfg)])
+        assert code == 1
+        assert f"error: bad value for {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "ws").exists()
+
+    @pytest.mark.parametrize("name", ["dataset.json", "can/test/000/meta.json"])
+    def test_undecodable_json_is_an_input_error(self, tmp_path, capsys, name):
+        cfg = str(_write_speed_cfg(tmp_path / "speed.cfg"))
+        out = tmp_path / "ws"
+        base = ["--out", str(out), "--config", cfg]
+        gen = ["gen-data", "--categories", "can", "--train-count", "0", "--test-count", "1"]
+        assert main(gen + base) == 0
+        capsys.readouterr()
+        (out / name).write_text("{bad")
+        assert main(["evaluate", "--methods", "mirror_oracle"] + base) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name.split("/")[-1] in err
+        assert not (out / "results.csv").exists()
 
     def test_bench_time_reads_no_mesh(self, trained_ws, tmp_path, capsys):
         ws, cfg = trained_ws

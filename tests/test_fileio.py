@@ -1,4 +1,4 @@
-"""Malformed headers and interrupted writes in the file formats."""
+"""Malformed headers and fields, and interrupted writes, in the file formats."""
 import builtins
 
 import numpy as np
@@ -10,6 +10,7 @@ from reconbench.errors import InvalidInputError
 from reconbench.fileio import (
     DECODER_MAGIC,
     SAMPLES_MAGIC,
+    load_obj,
     load_pfm,
     load_samples,
     load_tensors,
@@ -41,6 +42,22 @@ def test_malformed_header_names_the_file(tmp_path, load, blob):
     path.write_bytes(blob)
     with pytest.raises(InvalidInputError, match="corrupt.bin"):
         load(path)
+
+
+@pytest.mark.parametrize(
+    "text, bad",
+    [
+        ("v 0 0 0\nv abc 0 0\n", "'abc'"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 x/2 3\n", "'x'"),
+    ],
+    ids=["vertex-coordinate", "face-index"],
+)
+def test_non_numeric_obj_field_names_the_file_and_line(tmp_path, text, bad):
+    path = tmp_path / "mesh.obj"
+    path.write_text(text)
+    line = text.count("\n")
+    with pytest.raises(InvalidInputError, match=f"mesh.obj:{line}: not a number: {bad}"):
+        load_obj(path)
 
 
 def _interrupted_open(file, mode="r", *args, **kwargs):

@@ -298,12 +298,6 @@ class TestSampling:
         assert len(s) == 200
         assert np.all(np.linalg.norm(s.points, axis=1) <= cfg.ball_radius + 1e-12)
 
-    def test_negative_floor_discards_deep_samples(self, unit_sphere):
-        cfg = SamplingConfig(total_count=2000, negative_floor_tau=0.05, seed=7)
-        s = sample_training_set(unit_sphere, cfg)
-        assert len(s) < 2000
-        assert np.all(s.sdf >= -0.05)
-
     def test_values_are_exact_signed_distances(self, unit_sphere):
         cfg = SamplingConfig(total_count=100, seed=9)
         s = sample_training_set(unit_sphere, cfg)
