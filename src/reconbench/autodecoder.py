@@ -8,7 +8,10 @@ the weights frozen.  Losses clamp both prediction and target to a band
 around the surface so supervision concentrates where it matters.
 
 Everything is plain numpy with hand-written backpropagation; gradients
-are validated against finite differences in the test suite.
+are validated against finite differences in the test suite.  Grid
+decoding screens the grid in float32 and computes float64 values only
+where a proven error margin cannot rule a point out, so its output is
+the all-float64 one bit for bit (see ``reconstruct``).
 """
 from __future__ import annotations
 
@@ -37,6 +40,14 @@ LatentCode = np.ndarray
 # blocks that cut a matrix-vector kernel's row group, round differently.
 _ROW_BLOCK = 1024
 _ROW_ALIGN = 64
+
+# The error assumed for numpy's tanh, per dtype:
+# |tanh(x) computed - tanh(x)| <= _TANH_ERR * |tanh(x)|.  The float32
+# figure is about twice the worst case measured (1.83 * 2**-24 with
+# numpy 2.4); a test sweeps every float32 input where the error can
+# reach it.  The float64 figure only needs to stay far below the
+# float32 terms of the screen's margin.
+_TANH_ERR = {np.float32: 2.0**-22, np.float64: 2.0**-40}
 
 
 @dataclass(frozen=True)
@@ -364,13 +375,132 @@ def latent_inference_loss(
     return float(loss)
 
 
+def _forward_error_bound(params: DecoderParams, z: LatentCode, dtype) -> float:
+    """Bound on |computed - exact| for the decoder output at any point of
+    the grid cube, when the pass runs in ``dtype``.
+
+    The model, with unit roundoff ``u`` and ``gamma_n = n u / (1 - n u)``:
+    inputs, weights and biases are rounded to ``dtype`` (relative error
+    ``u`` each); each layer is a dot product plus bias, ``n`` terms
+    summed in any order with or without fused multiply-adds, so its
+    rounding is at most ``gamma_n`` times the sum of the terms'
+    magnitudes; tanh is 1-Lipschitz and adds ``_TANH_ERR``.  Carried
+    per unit, with ``h`` the exact input of a layer, ``|h| <= m`` and
+    ``|h_computed - h| <= e``:
+
+        e' = |W| e + u (|W| (m + e) + |b|) + gamma_n (1 + u) (|W| (m + e) + |b|)
+
+    then ``e' + _TANH_ERR`` and ``m' = min(1, |W| m + |b|)`` after tanh.
+    The first layer's inputs are the code and the point, with
+    ``|p_k| <= GRID_RADIUS``.  The screen computes that layer's code
+    half in float64 and rounds it once, which errs less than the model's
+    ``gamma_{L+4}`` on those terms.  Underflow adds at most about 1e-45
+    per float32 operation, far inside the factor 2 ``_screen_margin``
+    applies.  Returns inf when the bound overflows.
+    """
+    unit = float(np.finfo(dtype).eps) / 2.0
+    mag = np.concatenate([np.abs(z), np.full(3, GRID_RADIUS)])
+    err = unit * mag
+    last = len(params.weights) - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+            aw, ab = np.abs(w), np.abs(b)
+            n = w.shape[1] + 1
+            gamma = n * unit / (1.0 - n * unit)
+            terms = aw @ (mag + err) + ab
+            err = aw @ err + (unit + gamma * (1.0 + unit)) * terms
+            if i == last:
+                break
+            err = err + _TANH_ERR[dtype]
+            mag = np.minimum(1.0, aw @ mag + ab)
+    bound = float(err[0])
+    return bound if np.isfinite(bound) else np.inf
+
+
+def _screen_margin(params: DecoderParams, z: LatentCode) -> float:
+    """Twice the largest distance the float32 screen's value can have
+    from ``decoder_forward``'s at a grid point: both lie within their
+    forward-error bound of the exact value."""
+    return 2.0 * (
+        _forward_error_bound(params, z, np.float32)
+        + _forward_error_bound(params, z, np.float64)
+    )
+
+
+def _screen_field(params: DecoderParams, z: LatentCode) -> SdfField:
+    """The decoder in float32, for screening grid points.
+
+    The first layer's code half, ``W0[:, :L] @ z + b0``, is one constant
+    per code, so each point costs a 3-column product there.  Rows after
+    a call's last whole ``_ROW_ALIGN`` group come back NaN, which keeps
+    them (see ``_kept_field``).
+    """
+    w0 = params.weights[0]
+    latent = params.latent_dim
+    screen = DecoderParams(
+        0,
+        tuple(w.astype(np.float32) for w in (w0[:, latent:], *params.weights[1:])),
+        tuple(
+            b.astype(np.float32)
+            for b in (w0[:, :latent] @ z + params.biases[0], *params.biases[1:])
+        ),
+    )
+
+    def field(points: np.ndarray) -> np.ndarray:
+        pts = np.asarray(points, dtype=np.float32)
+        n = pts.shape[0]
+        out = np.empty(n, dtype=np.float32)
+        for s, e in _row_blocks(n):
+            out[s:e] = _forward_acts(screen, pts[s:e])[-1][:, 0]
+        out[n - n % _ROW_ALIGN:] = np.nan
+        return out
+
+    return field
+
+
+def _kept_field(params: DecoderParams, z: LatentCode, tail: int) -> SdfField:
+    """``decoder_forward`` on the grid points the screen keeps, equal bit
+    for bit to its values in the whole-grid pass.
+
+    A row's rounding depends only on where it sits among its block's
+    BLAS row groups.  The whole-grid pass evaluates chunks of
+    ``sdf._GRID_CHUNK`` rows (a multiple of ``_ROW_ALIGN``) in
+    ``_row_blocks``, so every row sits in a whole ``_ROW_ALIGN`` group
+    except the grid's last ``tail`` rows, which end the last block.
+    Here the kept rows before those are padded to whole groups, and the
+    last ``tail`` rows, which the screen always keeps, end the array
+    from an aligned offset just as they end the grid.
+    """
+
+    def field(points: np.ndarray) -> np.ndarray:
+        body = points.shape[0] - tail
+        pad = -body % _ROW_ALIGN
+        x = np.concatenate([points[:body], np.zeros((pad, 3)), points[body:]])
+        vals = decoder_forward(params, z, x)
+        return np.concatenate([vals[:body], vals[body + pad:]])
+
+    return field
+
+
 def reconstruct(
     params: DecoderParams, z: LatentCode, grid_resolution: int = 64
 ) -> PointCloud:
-    """Surface points of the decoded field, tagged generated."""
+    """Surface points of the decoded field, tagged generated.
+
+    Equal bit for bit to ``extract_surface_points(decoder_field(params,
+    z), grid_resolution, gradient_fn=...)`` with ``decoder_gradient``,
+    at about half its cost: a float32 pass (``_screen_field``) screens
+    the grid, and only points whose float32 value lies within the
+    extraction band widened by ``_screen_margin`` get float64 values.
+    The margin bounds the two passes' distance at any grid point, so a
+    point the screen drops has a float64 value outside the band.
+    """
+    z = np.asarray(z, dtype=np.float64)
     pts = extract_surface_points(
-        decoder_field(params, z), grid_resolution,
+        _kept_field(params, z, grid_resolution**3 % _ROW_ALIGN),
+        grid_resolution,
         gradient_fn=lambda p: decoder_gradient(params, z, p),
+        screen=(_screen_field(params, z), _screen_margin(params, z)),
     )
     return PointCloud.from_points(pts, TAG_GENERATED)
 

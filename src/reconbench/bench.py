@@ -140,6 +140,8 @@ def generate_dataset(
     """
     out = Path(out_dir)
     categories = list(categories)
+    if not categories:
+        raise InvalidInputError("need at least one category")
     for cat in categories:
         if cat not in CATEGORIES:
             raise InvalidInputError(f"unknown category {cat!r}")
@@ -195,18 +197,47 @@ def generate_dataset(
     return manifest
 
 
-def _read_json(path: Path) -> dict:
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_names(value) -> bool:
+    return isinstance(value, list) and bool(value) and all(isinstance(v, str) for v in value)
+
+
+# the fields the pipeline reads from each JSON file: check and description
+_MANIFEST_FIELDS = {"categories": (_is_names, "a non-empty list of strings")}
+_META_FIELDS = {
+    "category": (lambda v: isinstance(v, str), "a string"),
+    "seed_entropy": (
+        lambda v: isinstance(v, list) and all(_is_count(x) for x in v),
+        "a list of non-negative integers",
+    ),
+    "views": (_is_count, "a non-negative integer"),
+}
+
+
+def _read_json(path: Path, fields: dict) -> dict:
+    """The JSON object in ``path``, whose ``fields`` each pass their check."""
     try:
-        return json.loads(path.read_text())
+        doc = json.loads(path.read_text())
     except ValueError as exc:
         raise InvalidInputError(f"unreadable JSON in {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{path} must hold a JSON object")
+    for key, (valid, kind) in fields.items():
+        if key not in doc:
+            raise InvalidInputError(f"{path} misses the field {key!r}")
+        if not valid(doc[key]):
+            raise InvalidInputError(f"field {key!r} in {path} must be {kind}")
+    return doc
 
 
 def read_manifest(data_dir) -> dict:
     path = Path(data_dir) / "dataset.json"
     if not path.exists():
         raise MissingArtifactError(f"no dataset manifest at {path}")
-    return _read_json(path)
+    return _read_json(path, _MANIFEST_FIELDS)
 
 
 def _instance_dirs(data_dir, categories, split) -> list[Path]:
@@ -223,7 +254,7 @@ def _load_meta(inst_dir: Path) -> dict:
     path = inst_dir / "meta.json"
     if not path.exists():
         raise MissingArtifactError(f"missing instance metadata {path}")
-    return _read_json(path)
+    return _read_json(path, _META_FIELDS)
 
 
 def load_view(inst_dir: Path, view: int) -> tuple[DepthImage, CameraModel]:
@@ -305,7 +336,7 @@ def train_mirror_backend(data_dir, categories, seed: int, cfg: BenchConfig) -> P
     for inst_dir in dirs:
         meta = _load_meta(inst_dir)
         mesh = load_obj(inst_dir / "mesh.obj")
-        for v in range(int(meta["views"])):
+        for v in range(meta["views"]):
             observed, cam = load_view(inst_dir, v)
             virtual = mirror.mirror_pose(cam, (0.0, 0.0, 0.0))
             splat_and_mask = mirror.splat_into_view(observed, cam, virtual)
@@ -450,7 +481,7 @@ def run_evaluation(
         gt_down = voxel_downsample(
             _ground_truth_cloud(mesh, meta, cfg), _EVAL_DOWNSAMPLE_VOXEL
         )
-        n_views = min(int(meta["views"]), cfg.views_per_test_instance)
+        n_views = min(meta["views"], cfg.views_per_test_instance)
         for view in range(n_views):
             records += _evaluate_view(
                 inst_dir,

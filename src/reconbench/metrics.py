@@ -5,10 +5,11 @@ exhaustive scan (ties broken toward the lowest point index), and
 nearest distances, so chamfer and hausdorff, equal the quadratic
 difference-form scan (the least ``|a - b|^2`` summed over coordinates)
 bit for bit at every size.  Below ``_BRUTE_FORCE_PAIRS`` one kernel
-serves every size: a BLAS product picks each query's nearest point,
-the difference form gives its value, and queries whose two least
-products lie within a proven rounding margin rescan their candidates
-(see ``_brute_nearest_sq``).
+serves every size: a float32 BLAS product, in a frame centred on the
+two clouds, picks each query's nearest point, the float64 difference
+form gives its value, and queries whose two least products lie within
+a proven rounding margin rescan their candidates (see
+``_brute_nearest_sq``).
 """
 from __future__ import annotations
 
@@ -126,10 +127,23 @@ class KdTree:
         return idx, dist
 
 
-def _augmented_reference(b: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The (4, hi - lo) operand [-2 b^T; |b|^2] of one reference slice."""
-    part = b[lo:hi]
-    op = np.empty((4, hi - lo))
+def _frame(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Centre of the two clouds' joint bounding box, and the exponent
+    ``k`` with ``|x - centre| <= 2**k`` for every coordinate of either."""
+    lo = np.minimum(a.min(axis=0), b.min(axis=0))
+    hi = np.maximum(a.max(axis=0), b.max(axis=0))
+    # halves first: the sum and difference of the corners may overflow
+    half = float(np.max(hi / 2 - lo / 2))
+    return lo / 2 + hi / 2, int(np.frexp(half)[1]) if half > 0 else 0
+
+
+def _augmented_reference(
+    b: np.ndarray, lo: int, hi: int, centre: np.ndarray, k: int
+) -> np.ndarray:
+    """The float32 (4, hi - lo) operand [-2 b^T; |b|^2] of one reference
+    slice, in the frame ``(x - centre) * 2**-k``."""
+    part = np.ldexp(b[lo:hi] - centre, -k).astype(np.float32)
+    op = np.empty((4, hi - lo), dtype=np.float32)
     np.multiply(part.T, -2.0, out=op[:3])
     np.einsum("mk,mk->m", part, part, out=op[3])
     return op
@@ -140,45 +154,65 @@ def _brute_nearest_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The result equals the difference-form scan,
     ``min_j einsum("k,k->", a_i - b_j, a_i - b_j)``, bit for bit.  A
-    product only picks the pair; the difference form gives its value:
+    float32 product only picks the pair; the float64 difference form
+    gives its value:
 
-    1. Per block of at most ``_BRUTE_CHUNK`` pairs, one BLAS product
-       ``[a, 1] @ [-2 b^T; |b|^2]`` gives ``S_ij = |b_j|^2 - 2 a_i.b_j``,
-       which is ``|a_i - b_j|^2 - |a_i|^2``.  Each query keeps the index
+    1. Both clouds move to the frame ``A = (a - c) * 2**-k``, with ``c``
+       the centre of their joint bounding box and ``2**k`` the first
+       power of two above its half-width (``_frame``), so every
+       coordinate lies in [-1, 1] and no float32 operand overflows.
+       ``b`` moves one reference slice at a time, which keeps the
+       memory flat.
+    2. Per block of at most ``_BRUTE_CHUNK`` pairs, one float32 product
+       ``[A, 1] @ [-2 B^T; |B|^2]`` gives ``S_ij = |B_j|^2 - 2 A_i.B_j``,
+       which is ``|A_i - B_j|^2 - |A_i|^2``.  Each query keeps the index
        and value of its least ``S`` and its second-least value, merged
        across reference slices of at most ``_BRUTE_WIDTH`` points.
-    2. The value is the difference form on the chosen pair.
-    3. A query is a near tie when its second-least ``S`` is within
-       ``tol_i = 64 eps (|a_i| + max_j |b_j|)^2`` of its least.  Near
-       ties recompute ``S`` and take the least difference form over
-       every candidate with ``S_ij <= S_min + tol_i``.
+    3. The value is the difference form on the chosen pair, taken on
+       the original float64 coordinates.
+    4. A query is a near tie when its second-least ``S`` is within
+       ``tol_i = 64 eps32 (|A_i| + max_j |B_j|)^2 + 64 t`` of its least,
+       with ``t = 2**-149 + 2**(-1074 - 2k)`` the underflow allowance.
+       Near ties recompute ``S`` and take the least difference form
+       over every candidate with ``S_ij <= S_min + tol_i``.
 
-    Why ``tol_i`` suffices: with unit roundoff ``u = eps / 2`` and
-    ``B = |a_i| + max_j |b_j|``, the product is a 4-term dot product
-    whose terms sum to at most ``2 |a||b| + |b|^2 <= B^2`` in absolute
-    value, plus the rounding of ``|b|^2``: its error is at most
-    ``(4 + 3) u B^2``.  The difference form rounds each coordinate
-    difference, its square and the 3-term sum: at most ``5 u B^2``.
-    If ``j*`` minimises the difference form and ``j`` minimises ``S``,
-    chaining the bounds through the exact identity gives
-    ``S_ij* <= S_ij + 2 (7 + 5) u B^2 = S_ij + 12 eps B^2``, so the
+    Why ``tol_i`` suffices: let ``u = eps32 / 2``, ``B = |A_i| + max_j
+    |B_j|`` and ``D_ij = |A_i - B_j|^2 = 4**-k |a_i - b_j|^2``.  The
+    frame rounds each coordinate twice (float64 subtraction, float32
+    conversion; the power-of-two scaling is exact), and the resulting
+    coordinate errors move ``S`` by at most ``(2 + 4u) u B^2``.  The
+    product is a 4-term dot product whose terms sum to at most
+    ``2 |A||B| + |B|^2 <= B^2`` in absolute value, plus the rounding of
+    ``|B|^2``: at most ``(4 + 3) u B^2`` more, so ``S`` errs by at most
+    ``9.1 u B^2``.  The difference form rounds each coordinate
+    difference, its square and the 3-term sum in float64, relative to
+    the distance itself: at most ``5 u64 D_ij <= 5 u64 B^2``.  If ``j*``
+    minimises the difference form and ``j`` minimises ``S``, chaining
+    the bounds through the exact identity gives ``S_ij* <= S_ij +
+    2 (9.1 u + 5 u64) B^2 < S_ij + 10 eps32 B^2``, so the
     difference-form minimiser is always a candidate; the factor 64
-    leaves room for the rounding of the threshold itself.  A query
-    whose second-least ``S`` lies beyond the margin has ``j* = j``.
+    leaves room for the rounding of the threshold itself.  Results
+    below the normal range err by at most ``2**-150`` absolute per
+    float32 operation and ``2**-1075`` per float64 one, which is
+    ``2**(-1075 - 2k)`` once a squared distance is taken to the frame:
+    the chain picks up at most 58 of the first and 6 of the second,
+    which ``64 t`` covers.  A query whose second-least ``S`` lies
+    beyond the margin has ``j* = j``.
     """
     n, m = a.shape[0], b.shape[0]
     width = min(m, _BRUTE_WIDTH)
     rows = max(1, _BRUTE_CHUNK // width)
     slices = [(lo, min(m, lo + width)) for lo in range(0, m, width)]
-    a1 = np.empty((n, 4))
-    a1[:, :3] = a
+    centre, k = _frame(a, b)
+    a1 = np.empty((n, 4), dtype=np.float32)
+    a1[:, :3] = np.ldexp(a - centre, -k)
     a1[:, 3] = 1.0
-    best = np.full(n, np.inf)
-    second = np.full(n, np.inf)
+    best = np.full(n, np.inf, dtype=np.float32)
+    second = np.full(n, np.inf, dtype=np.float32)
     arg = np.zeros(n, dtype=np.int64)
     bb_max = 0.0
     for lo, hi in slices:
-        op = _augmented_reference(b, lo, hi)
+        op = _augmented_reference(b, lo, hi, centre, k)
         bb_max = max(bb_max, float(op[3].max()))
         for s in range(0, n, rows):
             e = min(n, s + rows)
@@ -198,15 +232,18 @@ def _brute_nearest_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     diff = a - b[arg]
     out = np.einsum("pk,pk->p", diff, diff)
 
-    norm_a = np.sqrt(np.einsum("nk,nk->n", a, a))
-    limit = best + 64.0 * np.finfo(np.float64).eps * (norm_a + np.sqrt(bb_max)) ** 2
+    coords = a1[:, :3].astype(np.float64)
+    norm_a = np.sqrt(np.einsum("nk,nk->n", coords, coords))
+    tiny = 64.0 * (2.0**-149 + np.ldexp(1.0, -1074 - 2 * k))
+    eps = float(np.finfo(np.float32).eps)
+    limit = best + (64.0 * eps * (norm_a + np.sqrt(bb_max)) ** 2 + tiny)
     near = np.flatnonzero(second <= limit)
     if near.size:
         a1_near = a1[near]
         limit_near = limit[near]
         value = out[near]
         for lo, hi in slices:
-            op = _augmented_reference(b, lo, hi)
+            op = _augmented_reference(b, lo, hi, centre, k)
             for s in range(0, near.size, rows):
                 e = min(near.size, s + rows)
                 ii, jj = np.nonzero(a1_near[s:e] @ op <= limit_near[s:e, None])

@@ -50,7 +50,8 @@ _PAIR_BUDGET = 65_536
 # mesh's coordinate scale: the kernel rounds a distance by a few ulps
 # of both, and a triangle that rounding puts nearest must not be dropped
 _BOUND_SLACK = 1e-9
-# grid points per field call in evaluate_on_grid
+# grid points per field call in evaluate_on_grid; a multiple of
+# autodecoder._ROW_ALIGN, which keeps the decoder's row groups aligned
 _GRID_CHUNK = 65536
 
 # fixed retry directions for the parity test, longest axis first
@@ -340,6 +341,7 @@ def extract_surface_points(
     sdf_fn: SdfField,
     resolution: int,
     gradient_fn: SdfGradient | None = None,
+    screen: tuple[SdfField, float] | None = None,
 ) -> np.ndarray:
     """Grid points near the zero level set, refined one Newton step.
 
@@ -351,9 +353,23 @@ def extract_surface_points(
     fields stay put rather than shooting off), and its length is capped
     at iso_epsilon: a unit-gradient field never needs more, so longer
     steps only ever come from unreliable gradients.
+
+    ``screen``, when given, is a cheaper field and a margin that bounds
+    its distance from ``sdf_fn`` at every grid point.  The screen is
+    evaluated on the whole grid, and ``sdf_fn`` is called once, on the
+    points in grid order whose screen value lies within iso_epsilon plus
+    the margin or is not finite.  A dropped point has |sdf| > iso_epsilon,
+    so the result is the one the whole grid would give.
     """
     iso_epsilon = default_iso_epsilon(resolution)
-    pts, vals = evaluate_on_grid(sdf_fn, resolution)
+    if screen is None:
+        pts, vals = evaluate_on_grid(sdf_fn, resolution)
+    else:
+        screen_fn, margin = screen
+        pts, rough = evaluate_on_grid(screen_fn, resolution)
+        kept = ~np.isfinite(rough) | (np.abs(rough) <= iso_epsilon + margin)
+        pts = pts[kept]
+        vals = np.asarray(sdf_fn(pts), dtype=np.float64)
     keep = np.abs(vals) <= iso_epsilon
     cand = pts[keep]
     if cand.shape[0] == 0:

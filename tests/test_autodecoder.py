@@ -1,15 +1,23 @@
 """Latent-code decoder: forward math, gradients, training, inference,
 and persistence."""
+import math
+
 import numpy as np
 import pytest
 
+from reconbench import autodecoder
 from reconbench.autodecoder import (
+    _ROW_ALIGN,
+    _TANH_ERR,
     DecoderParams,
     TrainConfig,
     _backward,
     _forward_acts,
     _input_grad,
+    _kept_field,
     _loss_terms,
+    _screen_field,
+    _screen_margin,
     _stack_input,
     decoder_field,
     decoder_forward,
@@ -31,6 +39,7 @@ from reconbench.sdf import (
     GRID_RADIUS,
     SamplingConfig,
     SdfSamples,
+    default_iso_epsilon,
     evaluate_on_grid,
     extract_surface_points,
     numeric_gradient,
@@ -475,6 +484,107 @@ class TestBlockedKernels:
         assert np.max(np.abs(exact - central)) <= 1e-8
         cloud = reconstruct(params, z, grid_resolution=32)
         assert np.array_equal(cloud.points, exact)
+
+
+def scaled_decoder(seed: int, factor: float) -> DecoderParams:
+    """A product-size decoder whose weights are scaled by ``factor``."""
+    params = init_decoder(TrainConfig(latent_dim=16, hidden=(64, 64, 64), seed=seed))
+    return DecoderParams(16, tuple(w * factor for w in params.weights), params.biases)
+
+
+def spread_decoder() -> DecoderParams:
+    """A product-size decoder whose output spans well beyond the
+    extraction band, so the screen drops most grid points."""
+    params, _ = product_decoder()
+    return DecoderParams(16, (*params.weights[:-1], params.weights[-1] * 20.0), params.biases)
+
+
+def unscreened(params, z, res) -> np.ndarray:
+    return extract_surface_points(
+        decoder_field(params, z), res, gradient_fn=lambda p: decoder_gradient(params, z, p)
+    )
+
+
+class TestScreen:
+    def test_float32_tanh_within_assumed_error(self):
+        # every float32 in +-[2**-12, 16): below, tanh(x) rounds to x or
+        # its neighbour; above, to 1
+        bits = np.float32([2.0**-12, 16.0]).view(np.uint32)
+        worst = 0.0
+        for s in range(int(bits[0]), int(bits[1]), 1 << 22):
+            x = np.arange(s, min(int(bits[1]), s + (1 << 22)), dtype=np.uint32).view(np.float32)
+            for sx in (x, -x):
+                exact = np.tanh(sx.astype(np.float64))
+                err = np.abs(np.tanh(sx).astype(np.float64) - exact) / np.abs(exact)
+                worst = max(worst, float(err.max()))
+        assert worst <= _TANH_ERR[np.float32]
+        # a stride through the rest of the finite float32 range
+        rest = np.arange(0, 0x7F800000, 4099, dtype=np.uint32).view(np.float32)
+        rest = rest[(rest < 2.0**-12) | (rest >= 16.0)]
+        exact = np.tanh(rest.astype(np.float64))
+        err = np.abs(np.tanh(rest).astype(np.float64) - exact)
+        assert np.all(err <= _TANH_ERR[np.float32] * np.abs(exact))
+
+    def test_float64_tanh_within_assumed_error(self, rng):
+        x = rng.uniform(-20.0, 20.0, size=20_000)
+        exact = np.array([math.tanh(v) for v in x])
+        assert np.all(np.abs(np.tanh(x) - exact) <= _TANH_ERR[np.float64] * np.abs(exact))
+
+    @pytest.mark.parametrize("factor", [1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_margin_bounds_the_float32_distance(self, factor, seed, rng):
+        params = scaled_decoder(seed, factor)
+        for z in (np.zeros(16), rng.normal(0.0, 0.1, size=16)):
+            _, rough = evaluate_on_grid(_screen_field(params, z), 32)
+            _, exact = evaluate_on_grid(decoder_field(params, z), 32)
+            assert np.all(np.abs(rough - exact) <= _screen_margin(params, z))
+
+    def test_margin_is_far_inside_the_band(self):
+        params, z = product_decoder()
+        assert 0.0 < _screen_margin(params, z) < 0.1 * default_iso_epsilon(64)
+
+    def test_margin_beyond_the_band_keeps_every_point(self, monkeypatch):
+        params = scaled_decoder(0, 1e4)
+        z = np.zeros(16)
+        assert _screen_margin(params, z) > 2.0 * GRID_RADIUS
+        rows = []
+
+        def counted(p, code, points):
+            rows.append(len(points))
+            return decoder_forward(p, code, points)
+
+        monkeypatch.setattr(autodecoder, "decoder_forward", counted)
+        cloud = reconstruct(params, z, grid_resolution=16)
+        assert rows[0] == 16**3
+        monkeypatch.undo()
+        assert np.array_equal(cloud.points, unscreened(params, z, 16))
+
+    def test_partial_last_group_comes_back_nan(self):
+        params, z = product_decoder()
+        pts = np.zeros((2 * _ROW_ALIGN + 5, 3))
+        rough = _screen_field(params, z)(pts)
+        assert np.all(np.isnan(rough[-5:])) and np.all(np.isfinite(rough[:-5]))
+
+    @pytest.mark.parametrize("res", [16, 32, 64])
+    def test_kept_values_equal_the_whole_grid_pass(self, res):
+        params = spread_decoder()
+        _, z = product_decoder()
+        pts, exact = evaluate_on_grid(decoder_field(params, z), res)
+        _, rough = evaluate_on_grid(_screen_field(params, z), res)
+        kept = np.abs(rough) <= default_iso_epsilon(res) + _screen_margin(params, z)
+        assert 0 < kept.sum() < 0.5 * len(pts)
+        values = _kept_field(params, z, 0)(pts[kept])
+        assert np.array_equal(values, exact[kept])
+
+    @pytest.mark.parametrize("res", [5, 7, 9, 16, 32, 33, 64])
+    def test_reconstruct_equals_the_unscreened_pass(self, res, rng):
+        spread = spread_decoder()
+        product, code = product_decoder()
+        cases = [(product, np.zeros(16)), (product, code), (spread, np.zeros(16)),
+                 (spread, code), (spread, rng.normal(0.0, 0.3, size=16))]
+        for params, z in cases:
+            cloud = reconstruct(params, z, grid_resolution=res)
+            assert np.array_equal(cloud.points, unscreened(params, z, res))
 
 
 class TestViewSamples:

@@ -210,6 +210,9 @@ class TestDatasetGeneration:
             generate_dataset(tmp_path, ["teapot"], 1, 1, 0, _tiny_cfg())
         with pytest.raises(InvalidInputError):
             generate_dataset(tmp_path, ["mug"], -1, 1, 0, _tiny_cfg())
+        # the manifest reader rejects an empty category list
+        with pytest.raises(InvalidInputError):
+            generate_dataset(tmp_path, [], 1, 1, 0, _tiny_cfg())
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(MissingArtifactError):
@@ -637,6 +640,33 @@ class TestCli:
         assert main(["evaluate", "--methods", "mirror_oracle"] + base) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and name.split("/")[-1] in err
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "name, text, command, expect",
+        [
+            ("dataset.json", "{}", "evaluate", "misses the field 'categories'"),
+            ("dataset.json", '{"categories": "laptop"}', "bench-time",
+             "field 'categories'"),
+            ("can/test/000/meta.json", "[]", "evaluate", "must hold a JSON object"),
+            ("can/test/000/meta.json", '{"category": "can", "seed_entropy": [1], '
+             '"views": "3"}', "evaluate", "field 'views'"),
+        ],
+    )
+    def test_malformed_json_field_is_an_input_error(
+        self, tmp_path, capsys, name, text, command, expect
+    ):
+        cfg = str(_write_speed_cfg(tmp_path / "speed.cfg"))
+        out = tmp_path / "ws"
+        base = ["--out", str(out), "--config", cfg]
+        gen = ["gen-data", "--categories", "can", "--train-count", "0", "--test-count", "1"]
+        assert main(gen + base) == 0
+        capsys.readouterr()
+        (out / name).write_text(text)
+        argv = [command] + (["--methods", "mirror_oracle"] if command == "evaluate" else [])
+        assert main(argv + base) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name.split("/")[-1] in err and expect in err
         assert not (out / "results.csv").exists()
 
     def test_bench_time_reads_no_mesh(self, trained_ws, tmp_path, capsys):

@@ -155,6 +155,22 @@ def _adversarial_case(name: str, rng) -> tuple[np.ndarray, np.ndarray]:
         # |a|^2 is ~1e8 times the squared gaps between the points
         a = 7.0 + 1e-4 * rng.normal(size=(2000, 3))
         return a, 7.0 + 1e-4 * rng.normal(size=(2500, 3))
+    if name == "offset_1e30":
+        # squares of the raw coordinates overflow float32
+        return (1e30 + 1e16 * rng.normal(size=(1500, 3)),
+                1e30 + 1e16 * rng.normal(size=(2500, 3)))
+    if name == "scale_1e30":
+        return 1e30 * rng.normal(size=(1500, 3)), 1e30 * rng.normal(size=(2500, 3))
+    if name == "gaps_1e-30":
+        # products of the raw coordinates underflow float32
+        return 1e-30 * rng.normal(size=(1500, 3)), 1e-30 * rng.normal(size=(2500, 3))
+    if name == "subnormal_products":
+        # one far query sets the frame; the rest meet the reference in
+        # float32 products below the normal range
+        a = np.concatenate([1e-21 * rng.normal(size=(1500, 3)), [[1.0, 1.0, 1.0]]])
+        return a, 1e-21 * rng.normal(size=(2500, 3))
+    if name == "far_apart":
+        return rng.normal(size=(1500, 3)), 1e3 + rng.normal(size=(2500, 3))
     if name == "one_query":
         return rng.normal(size=(1, 3)), rng.normal(size=(20_000, 3))
     assert name == "one_reference"
@@ -164,7 +180,8 @@ def _adversarial_case(name: str, rng) -> tuple[np.ndarray, np.ndarray]:
 @pytest.mark.parametrize(
     "name",
     ["lattice_own_points", "lattice_cell_centres", "lattice_face_centres",
-     "duplicated_reference", "offset_cancellation", "one_query", "one_reference"],
+     "duplicated_reference", "offset_cancellation", "offset_1e30", "scale_1e30",
+     "gaps_1e-30", "subnormal_products", "far_apart", "one_query", "one_reference"],
 )
 def test_exact_on_adversarial_clouds(rng, name):
     a, b = _adversarial_case(name, rng)

@@ -403,6 +403,28 @@ class TestExtraction:
         assert np.max(np.abs(np.linalg.norm(exact, axis=1) - 0.7)) <= 1e-12
         assert np.max(np.abs(exact - central)) <= 1e-6
 
+    def test_screen_passes_band_and_non_finite_points(self):
+        # the screen errs by less than its margin, so the result is the
+        # unscreened one; the field sees the band, NaN and inf points only
+        def rough(p):
+            out = box_sdf(p) + 0.01
+            out[::7] = np.nan
+            out[3::11] = np.inf
+            return out
+
+        seen = []
+
+        def field(p):
+            seen.append(p.copy())
+            return box_sdf(p)
+
+        pts = extract_surface_points(field, 16, screen=(rough, 0.02))
+        assert np.array_equal(pts, extract_surface_points(box_sdf, 16))
+        grid, values = evaluate_on_grid(rough, 16)
+        band = np.abs(values) <= default_iso_epsilon(16) + 0.02
+        assert np.array_equal(seen[0], grid[band | ~np.isfinite(values)])
+        assert len(seen[0]) < 0.6 * len(grid)
+
     def test_mesh_field_end_to_end(self, unit_sphere):
         pts = extract_surface_points(MeshSdf(unit_sphere), 32)
         d = unsigned_distances(pts, unit_sphere)
