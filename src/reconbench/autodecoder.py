@@ -135,11 +135,15 @@ def init_decoder(cfg: TrainConfig, rng: np.random.Generator | None = None) -> De
     return DecoderParams(cfg.latent_dim, tuple(weights), tuple(biases))
 
 
-def _forward_acts(params: DecoderParams, x: np.ndarray) -> list[np.ndarray]:
+def _forward_acts(
+    params: DecoderParams, x: np.ndarray, out: list[np.ndarray] | None = None
+) -> list[np.ndarray]:
+    """Input and every layer's output; ``out``, when given, holds one
+    preallocated array per layer for them."""
     acts = [x]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        pre = acts[-1] @ w.T
+        pre = np.matmul(acts[-1], w.T, out=None if out is None else out[i])
         pre += b
         acts.append(pre if i == last else np.tanh(pre, out=pre))
     return acts
@@ -353,13 +357,33 @@ def infer_latent(
             raise InvalidInputError("init shape must match the latent size")
     vel = np.zeros_like(z)
     code_lr = cfg.code_learning_rate
+    # one set of buffers for every step: the stacked input, whose code
+    # columns each step rewrites, each layer's output and each layer's
+    # input gradient
+    x = _stack_input(z, observation.points)
+    n = x.shape[0]
+    layers = [np.empty((n, w.shape[0])) for w in params.weights]
+    grads = [np.empty((n, w.shape[1])) for w in params.weights]
+    target = _clamp(observation.sdf, cfg.clamp_delta)
     for _ in range(cfg.epochs):
-        x = _stack_input(z, observation.points)
-        acts = _forward_acts(params, x)
+        x[:, : params.latent_dim] = z
+        acts = _forward_acts(params, x, out=layers)
         pred = acts[-1][:, 0]
-        _, dpred = _loss_terms(pred, observation.sdf, z[None, :], cfg)
-        gx = _input_grad(params, acts, dpred[:, None])
-        gz = gx[:, : params.latent_dim].sum(axis=0)
+        # d(loss)/d(pred) of _loss_terms; its loss value and prior term
+        # are not needed here
+        dpred = _clamp(pred, cfg.clamp_delta) - target
+        np.sign(dpred, out=dpred)
+        dpred *= np.abs(pred) < cfg.clamp_delta
+        dpred /= n
+        # _input_grad, in place: the activations are spent once used
+        grad = dpred[:, None]
+        for i in range(len(params.weights) - 1, -1, -1):
+            grad = np.matmul(grad, params.weights[i], out=grads[i])
+            if i > 0:
+                np.square(acts[i], out=acts[i])
+                np.subtract(1.0, acts[i], out=acts[i])
+                grad *= acts[i]
+        gz = grad[:, : params.latent_dim].sum(axis=0)
         gz = gz + 2.0 * cfg.code_prior_weight * z
         vel = cfg.momentum * vel - code_lr * gz
         z = z + vel

@@ -9,6 +9,7 @@ an interrupted write never leaves a partial file behind.
 """
 from __future__ import annotations
 
+import itertools
 import os
 from pathlib import Path
 
@@ -65,56 +66,128 @@ def write_atomic(path, data: bytes) -> None:
 # ---------------------------------------------------------------------------
 # meshes
 
+# OBJ lines parsed at a time: bounds the split records held at once
+_OBJ_LINES = 256
+
 
 def load_obj(path) -> TriangleMesh:
     """Read a Wavefront OBJ mesh.
 
-    Only ``v`` and ``f`` records are used.  Faces with more than three
-    vertices are fan-triangulated around their first vertex.  Negative
-    indices count from the end as usual.
+    Only ``v`` and ``f`` records are used; a vertex keeps its first
+    three components and a face token its part before any ``/``.  Faces
+    with more than three vertices are fan-triangulated around their
+    first vertex.  A face index counts from 1 among the vertices read
+    so far, or back from the last of them when negative.  The first
+    malformed record in the file raises an error naming the file.
     """
     path = Path(path)
     if not path.exists():
         raise MissingArtifactError(f"mesh file not found: {path}")
-    vertices: list[list[float]] = []
-    faces: list[tuple[int, int, int]] = []
-
-    def number(cast, text: str, lineno: int):
-        try:
-            return cast(text)
-        except ValueError:
-            raise InvalidInputError(f"{path}:{lineno}: not a number: {text!r}") from None
-
-    def resolve(token: str, lineno: int) -> int:
-        raw = token.split("/")[0]
-        idx = number(int, raw, lineno)
-        if idx < 0:
-            idx = len(vertices) + idx
-        else:
-            idx = idx - 1
-        if not 0 <= idx < len(vertices):
-            raise InvalidInputError(f"face index {raw} out of range in {path}")
-        return idx
-
+    vertices, triangles = [], []
+    seen = start = 0
     with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if parts[0] == "v":
-                if len(parts) < 4:
-                    raise InvalidInputError(f"malformed vertex line in {path}: {line!r}")
-                vertices.append([number(float, x, lineno) for x in parts[1:4]])
-            elif parts[0] == "f":
-                idx = [resolve(tok, lineno) for tok in parts[1:]]
-                if len(idx) < 3:
-                    raise InvalidInputError(f"face with fewer than 3 vertices in {path}")
-                for k in range(1, len(idx) - 1):
-                    faces.append((idx[0], idx[k], idx[k + 1]))
-    if not vertices:
+        while lines := list(itertools.islice(fh, _OBJ_LINES)):
+            block = _obj_block(path, lines, start, seen)
+            vertices.append(block[0])
+            triangles.append(block[1])
+            seen += len(block[0])
+            start += len(lines)
+    if not seen:
         raise InvalidInputError(f"no vertices in {path}")
-    return TriangleMesh(np.asarray(vertices, dtype=np.float64),
-                        np.asarray(faces, dtype=np.int64).reshape(-1, 3))
+    return TriangleMesh(np.concatenate(vertices), np.concatenate(triangles))
+
+
+def _obj_block(
+    path: Path, lines: list[str], start: int, seen_before: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices (k, 3) and triangles (t, 3) of ``lines``, the file's
+    lines after its first ``start``, when ``seen_before`` vertices came
+    before them; raises the block's first malformed record."""
+    records = [
+        (no, parts)
+        for no, parts in enumerate(map(str.split, lines), start=start + 1)
+        if parts and parts[0] in ("v", "f")
+    ]
+    is_vertex = np.array([parts[0] == "v" for _, parts in records], dtype=bool)
+    vert_recs = [rec for rec, v in zip(records, is_vertex) if v]
+    face_recs = [rec for rec, v in zip(records, is_vertex) if not v]
+
+    coords = [x for _, parts in vert_recs for x in parts[1:4]]
+    vertices = None
+    if len(coords) == 3 * len(vert_recs):
+        try:
+            vertices = np.array(list(map(float, coords)), dtype=np.float64)
+        except ValueError:
+            pass
+    # (line number, message) of the first malformed record of each kind
+    errors = []
+    if vertices is None:
+        errors.append(_first_vertex_error(path, lines, start, vert_recs))
+
+    counts = np.array([len(parts) - 1 for _, parts in face_recs], dtype=np.int64)
+    raw = [tok for _, parts in face_recs for tok in parts[1:]]
+    if any("/" in line for line in lines):
+        raw = [tok.partition("/")[0] for tok in raw]
+    index, bad_number = _obj_indices(raw)
+    # vertices read before each face, once per face token
+    seen = np.repeat(seen_before + np.cumsum(is_vertex)[~is_vertex], counts)
+    resolved = np.where(index < 0, seen + index, index - 1)
+    bad_token = bad_number | (resolved < 0) | (resolved >= seen)
+    face_of_token = np.repeat(np.arange(len(face_recs)), counts)
+    bad_face = counts < 3
+    bad_face[face_of_token[bad_token]] = True
+    if bad_face.any():
+        face = int(np.argmax(bad_face))
+        tokens = np.flatnonzero(bad_token & (face_of_token == face))
+        if not tokens.size:
+            msg = f"face with fewer than 3 vertices in {path}"
+        elif bad_number[tokens[0]]:
+            msg = f"{path}:{face_recs[face][0]}: not a number: {raw[tokens[0]]!r}"
+        else:
+            msg = f"face index {raw[tokens[0]]} out of range in {path}"
+        errors.append((face_recs[face][0], msg))
+    if errors:
+        raise InvalidInputError(min(errors)[1])
+
+    # fan (first, k, k + 1) for k = 1 .. count - 2 of every face
+    fans = np.maximum(counts - 2, 0)
+    first = np.repeat(np.cumsum(counts) - counts, fans)
+    k = np.arange(int(fans.sum())) - np.repeat(np.cumsum(fans) - fans, fans) + 1
+    triangles = resolved[np.stack([first, first + k, first + k + 1], axis=1)]
+    return vertices.reshape(-1, 3), triangles.reshape(-1, 3)
+
+
+def _first_vertex_error(
+    path: Path, lines: list[str], start: int, vert_recs
+) -> tuple[int, str]:
+    """(line number, message) of the first malformed vertex record."""
+    for no, parts in vert_recs:
+        if len(parts) < 4:
+            return no, f"malformed vertex line in {path}: {lines[no - start - 1]!r}"
+        for text in parts[1:4]:
+            try:
+                float(text)
+            except ValueError:
+                return no, f"{path}:{no}: not a number: {text!r}"
+    raise AssertionError("no malformed vertex record")
+
+
+def _obj_indices(raw: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Integer value of each face token, and which are not integers.
+
+    A value beyond int64 is clamped far outside any index range."""
+    try:
+        return np.array(list(map(int, raw)), dtype=np.int64), np.zeros(len(raw), dtype=bool)
+    except (ValueError, OverflowError):
+        pass
+    index = np.zeros(len(raw), dtype=np.int64)
+    bad = np.zeros(len(raw), dtype=bool)
+    for i, text in enumerate(raw):
+        try:
+            index[i] = min(max(int(text), -(2**62)), 2**62)
+        except ValueError:
+            bad[i] = True
+    return index, bad
 
 
 def save_obj(path, mesh: TriangleMesh) -> None:

@@ -8,7 +8,7 @@ bit for bit at every size.  Below ``_BRUTE_FORCE_PAIRS`` one kernel
 serves every size: a float32 BLAS product, in a frame centred on the
 two clouds, picks each query's nearest point, the float64 difference
 form gives its value, and queries whose two least products lie within
-a proven rounding margin rescan their candidates (see
+a proven rounding margin settle among their candidates (see
 ``_brute_nearest_sq``).
 """
 from __future__ import annotations
@@ -130,8 +130,10 @@ class KdTree:
 def _frame(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     """Centre of the two clouds' joint bounding box, and the exponent
     ``k`` with ``|x - centre| <= 2**k`` for every coordinate of either."""
-    lo = np.minimum(a.min(axis=0), b.min(axis=0))
-    hi = np.maximum(a.max(axis=0), b.max(axis=0))
+    # one column at a time: an axis-0 reduction over an (n, 3) array
+    # runs about ten times slower
+    lo = np.array([min(a[:, d].min(), b[:, d].min()) for d in range(3)])
+    hi = np.array([max(a[:, d].max(), b[:, d].max()) for d in range(3)])
     # halves first: the sum and difference of the corners may overflow
     half = float(np.max(hi / 2 - lo / 2))
     return lo / 2 + hi / 2, int(np.frexp(half)[1]) if half > 0 else 0
@@ -161,43 +163,60 @@ def _brute_nearest_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
        the centre of their joint bounding box and ``2**k`` the first
        power of two above its half-width (``_frame``), so every
        coordinate lies in [-1, 1] and no float32 operand overflows.
-       ``b`` moves one reference slice at a time, which keeps the
-       memory flat.
+       ``b`` moves one reference slice of at most ``_BRUTE_WIDTH``
+       points at a time, which keeps the memory flat.
     2. Per block of at most ``_BRUTE_CHUNK`` pairs, one float32 product
        ``[A, 1] @ [-2 B^T; |B|^2]`` gives ``S_ij = |B_j|^2 - 2 A_i.B_j``,
-       which is ``|A_i - B_j|^2 - |A_i|^2``.  Each query keeps the index
-       and value of its least ``S`` and its second-least value, merged
-       across reference slices of at most ``_BRUTE_WIDTH`` points.
+       which is ``|A_i - B_j|^2 - |A_i|^2``.  The first slice sets each
+       query's least ``S`` (``best``), its index (``arg``) and its
+       least ``S`` over the other indices (``second``); later slices
+       merge theirs in.  Either way ``best`` is the least ``S`` over
+       all of ``b`` and ``second`` the least over every index but
+       ``arg``.
     3. The value is the difference form on the chosen pair, taken on
        the original float64 coordinates.
-    4. A query is a near tie when its second-least ``S`` is within
-       ``tol_i = 64 eps32 (|A_i| + max_j |B_j|)^2 + 64 t`` of its least,
-       with ``t = 2**-149 + 2**(-1074 - 2k)`` the underflow allowance.
-       Near ties recompute ``S`` and take the least difference form
-       over every candidate with ``S_ij <= S_min + tol_i``.
+    4. A query is a near tie when ``second <= limit_i = best +
+       tol_i``, with ``tol_i = 64 eps32 (|A_i| + max_j |B_j|)^2 + 64 t``
+       and ``t = 2**-149 + 2**(-1074 - 2k)`` the underflow allowance.
+       Near ties settle in ``_settle_near_ties``.
 
-    Why ``tol_i`` suffices: let ``u = eps32 / 2``, ``B = |A_i| + max_j
-    |B_j|`` and ``D_ij = |A_i - B_j|^2 = 4**-k |a_i - b_j|^2``.  The
-    frame rounds each coordinate twice (float64 subtraction, float32
+    The margin: let ``u = eps32 / 2``, ``B = |A_i| + max_j |B_j|`` and
+    ``D_ij = |A_i - B_j|^2 = 4**-k |a_i - b_j|^2``, with ``T_ij = D_ij -
+    |A_i|^2`` the exact value that ``S_ij`` approximates.  The frame
+    rounds each coordinate twice (float64 subtraction, float32
     conversion; the power-of-two scaling is exact), and the resulting
     coordinate errors move ``S`` by at most ``(2 + 4u) u B^2``.  The
     product is a 4-term dot product whose terms sum to at most
     ``2 |A||B| + |B|^2 <= B^2`` in absolute value, plus the rounding of
-    ``|B|^2``: at most ``(4 + 3) u B^2`` more, so ``S`` errs by at most
-    ``9.1 u B^2``.  The difference form rounds each coordinate
+    ``|B|^2``: at most ``(4 + 3) u B^2`` more, so any float32 product
+    of this form, whatever its blocking, has ``|S_ij - T_ij| <= e1 =
+    9.1 u B^2``.  The difference form rounds each coordinate
     difference, its square and the 3-term sum in float64, relative to
-    the distance itself: at most ``5 u64 D_ij <= 5 u64 B^2``.  If ``j*``
-    minimises the difference form and ``j`` minimises ``S``, chaining
-    the bounds through the exact identity gives ``S_ij* <= S_ij +
-    2 (9.1 u + 5 u64) B^2 < S_ij + 10 eps32 B^2``, so the
-    difference-form minimiser is always a candidate; the factor 64
-    leaves room for the rounding of the threshold itself.  Results
-    below the normal range err by at most ``2**-150`` absolute per
-    float32 operation and ``2**-1075`` per float64 one, which is
-    ``2**(-1075 - 2k)`` once a squared distance is taken to the frame:
-    the chain picks up at most 58 of the first and 6 of the second,
-    which ``64 t`` covers.  A query whose second-least ``S`` lies
-    beyond the margin has ``j* = j``.
+    the distance itself, so it is off ``4**k D_ij`` by at most ``e2 =
+    5 u64 B^2`` in the frame.  Let ``j*`` minimise the difference form.
+    For any ``j`` and any two such products ``S`` and ``S'``, chaining
+    the bounds through the exact ``T`` gives ``S'_ij* <= S_ij + 2 (e1 +
+    e2) < S_ij + 10 eps32 B^2``; the factor 64 leaves room for the
+    rounding of the threshold itself.  Results below the normal range
+    err by at most ``2**-150`` absolute per float32 operation and
+    ``2**-1075`` per float64 one, which is ``2**(-1075 - 2k)`` once a
+    squared distance is taken to the frame: the chain picks up at most
+    58 of the first and 6 of the second, which ``64 t`` covers.  So
+    ``S'_ij* <= limit_i`` for every product ``S'`` (take ``j = arg``).
+
+    Why the result is exact:
+
+    - A query that is no near tie has ``S_ij > limit_i`` for every
+      ``j != arg``, so ``j* = arg`` (or ties it in the difference
+      form), and step 3 gives its value.
+    - A near tie's candidates under the settle's own product ``S'``,
+      ``C = {j : S'_ij <= limit_i}``, hold ``j*``.  The settle adds to
+      a set every index it evaluates; per slice it adds the two least
+      ``S'`` and, unless the third least exceeds ``limit_i``, every
+      further index within ``limit_i``.  So the set holds each slice's
+      part of ``C``, and with it ``j*``.  Each evaluated index is a
+      point of ``b``, so its difference form is at least the one at
+      ``j*``: the least over the set is the difference-form minimum.
     """
     n, m = a.shape[0], b.shape[0]
     width = min(m, _BRUTE_WIDTH)
@@ -207,21 +226,35 @@ def _brute_nearest_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a1 = np.empty((n, 4), dtype=np.float32)
     a1[:, :3] = np.ldexp(a - centre, -k)
     a1[:, 3] = 1.0
-    best = np.full(n, np.inf, dtype=np.float32)
-    second = np.full(n, np.inf, dtype=np.float32)
-    arg = np.zeros(n, dtype=np.int64)
+    best = np.empty(n, dtype=np.float32)
+    second = np.empty(n, dtype=np.float32)
+    arg = np.empty(n, dtype=np.int64)
     bb_max = 0.0
     for lo, hi in slices:
         op = _augmented_reference(b, lo, hi, centre, k)
         bb_max = max(bb_max, float(op[3].max()))
+        # flat offset of each block row's start
+        starts = np.arange(rows) * (hi - lo)
         for s in range(0, n, rows):
             e = min(n, s + rows)
             prod = a1[s:e] @ op
+            flat = prod.reshape(-1)
+            start = starts[: e - s]
+            if lo == 0:
+                pos = prod.argmin(axis=1, out=arg[s:e]) + start
+                flat.take(pos, out=best[s:e])
+                flat[pos] = np.inf
+                pos = prod.argmin(axis=1)
+                pos += start
+                flat.take(pos, out=second[s:e])
+                continue
             j = prod.argmin(axis=1)
-            at = np.arange(e - s)
-            least = prod[at, j]
-            prod[at, j] = np.inf
-            runner_up = prod.min(axis=1)
+            pos = j + start
+            least = flat[pos]
+            flat[pos] = np.inf
+            pos = prod.argmin(axis=1)
+            pos += start
+            runner_up = flat[pos]
             prev = best[s:e]
             won = least < prev
             second[s:e] = np.where(
@@ -239,18 +272,52 @@ def _brute_nearest_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     limit = best + (64.0 * eps * (norm_a + np.sqrt(bb_max)) ** 2 + tiny)
     near = np.flatnonzero(second <= limit)
     if near.size:
-        a1_near = a1[near]
-        limit_near = limit[near]
-        value = out[near]
-        for lo, hi in slices:
-            op = _augmented_reference(b, lo, hi, centre, k)
-            for s in range(0, near.size, rows):
-                e = min(near.size, s + rows)
-                ii, jj = np.nonzero(a1_near[s:e] @ op <= limit_near[s:e, None])
-                diff = a[near[s + ii]] - b[lo + jj]
-                np.minimum.at(value, s + ii, np.einsum("pk,pk->p", diff, diff))
-        out[near] = value
+        out[near] = _settle_near_ties(
+            a[near], a1[near], limit[near], b, slices, centre, k, rows
+        )
     return out
+
+
+def _settle_near_ties(
+    a: np.ndarray, a1: np.ndarray, limit: np.ndarray, b: np.ndarray,
+    slices: list, centre: np.ndarray, k: int, rows: int,
+) -> np.ndarray:
+    """Least difference form from each near-tie query of ``a`` (with
+    frame rows ``a1``) over a set of ``b``'s indices that holds every
+    candidate ``S_ij <= limit_i`` of one fresh product (see
+    ``_brute_nearest_sq``): per slice its two least ``S``, and where
+    the third least is within the limit too, every further candidate."""
+    n = a.shape[0]
+    pick = np.empty((n, 2 * len(slices)), dtype=np.int64)
+    more_q, more_j = [], []
+    for t, (lo, hi) in enumerate(slices):
+        op = _augmented_reference(b, lo, hi, centre, k)
+        starts = np.arange(rows) * (hi - lo)
+        for s in range(0, n, rows):
+            e = min(n, s + rows)
+            prod = a1[s:e] @ op
+            flat = prod.reshape(-1)
+            start = starts[: e - s]
+            for c in (2 * t, 2 * t + 1):
+                pos = prod.argmin(axis=1)
+                pick[s:e, c] = pos + lo
+                pos += start
+                flat[pos] = np.inf
+            pos = prod.argmin(axis=1)
+            pos += start
+            many = np.flatnonzero(flat[pos] <= limit[s:e])
+            if many.size:
+                # three or more candidates in this slice: the rest of them
+                ii, jj = np.nonzero(prod[many] <= limit[s + many, None])
+                more_q.append(s + many[ii])
+                more_j.append(lo + jj)
+    diff = np.repeat(a, pick.shape[1], axis=0) - b[pick.reshape(-1)]
+    value = np.einsum("pk,pk->p", diff, diff).reshape(pick.shape).min(axis=1)
+    if more_q:
+        q = np.concatenate(more_q)
+        diff = a[q] - b[np.concatenate(more_j)]
+        np.minimum.at(value, q, np.einsum("pk,pk->p", diff, diff))
+    return value
 
 
 def nearest_distances(queries, reference) -> np.ndarray:

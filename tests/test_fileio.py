@@ -6,7 +6,7 @@ import pytest
 
 from reconbench import fileio
 from reconbench.bench import EvalRecord, write_results
-from reconbench.errors import InvalidInputError
+from reconbench.errors import InvalidInputError, MissingArtifactError
 from reconbench.fileio import (
     DECODER_MAGIC,
     SAMPLES_MAGIC,
@@ -14,9 +14,10 @@ from reconbench.fileio import (
     load_pfm,
     load_samples,
     load_tensors,
+    save_obj,
 )
-from reconbench.geometry import camera_looking_at
-from reconbench.shapes import icosphere
+from reconbench.geometry import TriangleMesh, camera_looking_at
+from reconbench.shapes import CATEGORIES, build_mesh, icosphere, sample_spec
 
 _PFM_BODY = bytes(16)
 
@@ -58,6 +59,149 @@ def test_non_numeric_obj_field_names_the_file_and_line(tmp_path, text, bad):
     line = text.count("\n")
     with pytest.raises(InvalidInputError, match=f"mesh.obj:{line}: not a number: {bad}"):
         load_obj(path)
+
+
+def load_obj_reference(path) -> TriangleMesh:
+    """The line-by-line OBJ parser that ``load_obj`` replaced, frozen as
+    the reference for its arrays and its error messages."""
+    if not path.exists():
+        raise MissingArtifactError(f"mesh file not found: {path}")
+    vertices: list[list[float]] = []
+    faces: list[tuple[int, int, int]] = []
+
+    def number(cast, text: str, lineno: int):
+        try:
+            return cast(text)
+        except ValueError:
+            raise InvalidInputError(f"{path}:{lineno}: not a number: {text!r}") from None
+
+    def resolve(token: str, lineno: int) -> int:
+        raw = token.split("/")[0]
+        idx = number(int, raw, lineno)
+        if idx < 0:
+            idx = len(vertices) + idx
+        else:
+            idx = idx - 1
+        if not 0 <= idx < len(vertices):
+            raise InvalidInputError(f"face index {raw} out of range in {path}")
+        return idx
+
+    with open(path, "r") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if parts[0] == "v":
+                if len(parts) < 4:
+                    raise InvalidInputError(f"malformed vertex line in {path}: {line!r}")
+                vertices.append([number(float, x, lineno) for x in parts[1:4]])
+            elif parts[0] == "f":
+                idx = [resolve(tok, lineno) for tok in parts[1:]]
+                if len(idx) < 3:
+                    raise InvalidInputError(f"face with fewer than 3 vertices in {path}")
+                for k in range(1, len(idx) - 1):
+                    faces.append((idx[0], idx[k], idx[k + 1]))
+    if not vertices:
+        raise InvalidInputError(f"no vertices in {path}")
+    return TriangleMesh(np.asarray(vertices, dtype=np.float64),
+                        np.asarray(faces, dtype=np.int64).reshape(-1, 3))
+
+
+_TRIANGLE = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+# 300 vertex lines: longer files are parsed in blocks of lines
+_MANY = "".join(f"v {i} {i % 7} {i % 3}\n" for i in range(300))
+
+
+def _assert_same_mesh(path):
+    want, got = load_obj_reference(path), load_obj(path)
+    for name in ("vertices", "triangles"):
+        w, g = getattr(want, name), getattr(got, name)
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("category", CATEGORIES)
+def test_obj_parse_matches_reference_on_category_meshes(tmp_path, category):
+    path = tmp_path / "mesh.obj"
+    save_obj(path, build_mesh(sample_spec(category, np.random.default_rng(7))))
+    _assert_same_mesh(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # negative indices count back from the vertices read so far
+        _TRIANGLE + "f -3 -2 -1\nv 0 0 1\nf -4 -1 -2\nf 4 -2 -3\n",
+        _TRIANGLE + "v 0 0 1\nvt 0 0\nvn 0 0 1\n"
+        "f 1/1/1 2/1/1 3/1/1\nf 1//1 3//1 4//1\nf 2/1 -1/1 4/1\n",
+        "v 0 0 0 1.0\nv 1 0 0 0.5 0.2 0.1\nv 0 1 0 x\nf 1 2 3\n",
+        _TRIANGLE + "v 1 1 0\nv 2 1 0\nf 1 2 3 4 5\nf 5 4 3 2\nf 1 2 3\n",
+        "# header\n\nv 0 0 0\n   \n#v 9 9 9\nv 1 0 0 # note\nv 0 1 0\n"
+        "o thing\ng group\ns off\nusemtl m\nvt 0 0\nf 1 2 3\n",
+        "v 0 0 0\r\nv 1 0 0\r\nv 0 1 0\r\nf 1 2 3",
+        "v\t1e-3\t-2.5E+2\t0\nv 1 0 0\n  v 0 1 0\nf\t+1\t2\t03\n",
+        "v 0 0 0\n",
+        _MANY + "f -1 -2 -3\nf 1 150 300 2\nv 0 0 1\nf -1 -300 -301\n",
+    ],
+    ids=["negative", "slashes", "extra-components", "fans", "comments-and-blanks",
+         "crlf-no-final-newline", "tabs-and-signs", "vertices-only", "many-lines"],
+)
+def test_obj_parse_matches_reference_on_edge_cases(tmp_path, text):
+    path = tmp_path / "mesh.obj"
+    path.write_bytes(text.encode())
+    _assert_same_mesh(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "v 0 0 0\nv abc 0 0\n",
+        _TRIANGLE + "f 1 x/2 3\n",
+        _TRIANGLE + "f 1 /2 3\n",
+        _TRIANGLE + "f 1 2 9\n",
+        _TRIANGLE + "f -4 1 2\n",
+        _TRIANGLE + "f 0 1 2\n",
+        _TRIANGLE + "f 1 2 99999999999999999999999\n",
+        "v 0 0 0\nf 1 2 3\nv 1 0 0\nv 0 1 0\n",
+        "v 0 0\n",
+        "v\n",
+        _TRIANGLE + "v 1 2",
+        _TRIANGLE + "f 1 2\n",
+        _TRIANGLE + "f\n",
+        "",
+        "# nothing\nvt 0 0\n",
+        "v 1e999 0 0\n",
+        # the first malformed record wins
+        "v 0 0\nf 1 2 9\n",
+        _TRIANGLE + "f 1 2 9\nv 0 0\n",
+        _TRIANGLE + "f 1 9 x\n",
+        _TRIANGLE + "f x 1\n",
+        _TRIANGLE + "f 1 2\nv y 0 0\n",
+        _MANY + "v 1 x 2\nf 1 2 3\n",
+        _MANY + "f 1 2 301\n" + _MANY + "v 1 2",
+        "f 1 2 3\n" + _MANY + "v 1 x 2\n",
+    ],
+    ids=["vertex-not-a-number", "face-not-a-number", "face-empty-index", "index-too-high",
+         "index-too-low", "index-zero", "index-beyond-int64", "index-ahead-of-vertices",
+         "short-vertex", "bare-vertex", "short-vertex-at-end", "two-vertex-face",
+         "empty-face", "empty-file", "no-vertices", "infinite-vertex",
+         "vertex-error-first", "face-error-first", "range-before-number",
+         "number-before-count", "count-before-vertex", "late-vertex-error",
+         "late-face-error-first", "early-face-error-first"],
+)
+def test_obj_errors_match_reference(tmp_path, text):
+    path = tmp_path / "mesh.obj"
+    path.write_bytes(text.encode())
+    with pytest.raises(InvalidInputError) as want:
+        load_obj_reference(path)
+    with pytest.raises(InvalidInputError) as got:
+        load_obj(path)
+    assert str(got.value) == str(want.value)
+
+
+def test_missing_obj_file(tmp_path):
+    with pytest.raises(MissingArtifactError, match="mesh file not found"):
+        load_obj(tmp_path / "absent.obj")
 
 
 def _interrupted_open(file, mode="r", *args, **kwargs):

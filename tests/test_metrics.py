@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reconbench import metrics
 from reconbench.errors import InvalidInputError
 from reconbench.geometry import (
     PointCloud,
@@ -14,6 +15,7 @@ from reconbench.geometry import (
     transform_points,
 )
 from reconbench.metrics import (
+    _BRUTE_WIDTH,
     KdTree,
     VoxelFilterConfig,
     _brute_nearest_sq,
@@ -186,6 +188,53 @@ def _adversarial_case(name: str, rng) -> tuple[np.ndarray, np.ndarray]:
 def test_exact_on_adversarial_clouds(rng, name):
     a, b = _adversarial_case(name, rng)
     assert np.array_equal(_brute_nearest_sq(a, b), difference_form_nearest_sq(a, b))
+
+
+def _settle_case(name: str, rng) -> tuple[np.ndarray, np.ndarray]:
+    # queries 10 apart, each with its own reference points at radius
+    # about 0.5: radii 1e-9 apart are equal in float32 and distinct in
+    # float64, and the float64-nearest point always has the highest
+    # index, so a pick by the float32 product alone would be wrong
+    a = 10.0 * _lattice(5)
+    ex, ey, _ = np.eye(3)
+    grow = 1.0 + 1e-9
+    far = 1e3 + rng.normal(size=(_BRUTE_WIDTH, 3))
+    if name == "two_candidates":
+        return a, np.concatenate([a + 0.5 * grow * ex, a + 0.5 * ey])
+    if name == "one_candidate_per_slice":
+        # the runner-up sits in another reference slice than the least
+        first = np.concatenate([a + 0.5 * grow * ex, far[len(a):]])
+        return a, np.concatenate([first, a + 0.5 * ey])
+    if name == "three_or_more_candidates":
+        return a, np.concatenate([a + 0.5 * grow**3 * ex, a - 0.5 * grow**2 * ex,
+                                  a + 0.5 * grow * ey, a - 0.5 * ey])
+    if name == "duplicates_across_slices":
+        base = a + 0.5 * rng.normal(size=a.shape)
+        first = np.concatenate([base, base, base, far[3 * len(a):]])
+        return a, np.concatenate([first, base])
+    assert name == "one_point_last_slice"
+    # 8193 reference points: the last slice holds one, the nearest
+    first = np.concatenate([a + 0.5 * grow * ex, far[len(a):]])
+    return a, np.concatenate([first, a[:1] + 0.5 * ey])
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["two_candidates", "one_candidate_per_slice", "three_or_more_candidates",
+     "duplicates_across_slices", "one_point_last_slice"],
+)
+def test_near_ties_settle_exactly(rng, monkeypatch, name):
+    a, b = _settle_case(name, rng)
+    settled = []
+    settle = metrics._settle_near_ties
+
+    def spy(*args):
+        settled.append(True)
+        return settle(*args)
+
+    monkeypatch.setattr(metrics, "_settle_near_ties", spy)
+    assert np.array_equal(_brute_nearest_sq(a, b), difference_form_nearest_sq(a, b))
+    assert settled
 
 
 @pytest.mark.parametrize("n", [3000, 10_000])
