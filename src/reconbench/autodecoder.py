@@ -9,9 +9,10 @@ around the surface so supervision concentrates where it matters.
 
 Everything is plain numpy with hand-written backpropagation; gradients
 are validated against finite differences in the test suite.  Grid
-decoding screens the grid in float32 and computes float64 values only
-where a proven error margin cannot rule a point out, so its output is
-the all-float64 one bit for bit (see ``reconstruct``).
+decoding screens the grid in float32 and computes float64 values, and
+the Newton step's gradients from the same pass, only where a proven
+error margin cannot rule a point out, so its output is the all-float64
+one bit for bit (see ``reconstruct``).
 """
 from __future__ import annotations
 
@@ -27,7 +28,9 @@ from .geometry import TAG_GENERATED, CameraModel, PointCloud
 from .sdf import (
     GRID_RADIUS,
     SdfField,
+    SdfGradient,
     SdfSamples,
+    default_iso_epsilon,
     extract_surface_points,
 )
 
@@ -157,25 +160,47 @@ def _backward(params: DecoderParams, acts: list[np.ndarray], dout: np.ndarray):
     """
     gw = [np.empty(0)] * len(params.weights)
     gb = [np.empty(0)] * len(params.weights)
+    last = len(params.weights) - 1
     grad = dout
-    for i in range(len(params.weights) - 1, -1, -1):
+    for i in range(last, -1, -1):
         gw[i] = grad.T @ acts[i]
         gb[i] = grad.sum(axis=0)
-        grad = grad @ params.weights[i]
+        # a product over one column is one rounding per entry: the
+        # broadcast multiply gives the same bits at half the cost
+        grad = grad * params.weights[i] if i == last else grad @ params.weights[i]
         if i > 0:
             grad = grad * (1.0 - acts[i] ** 2)
     return gw, gb, grad
 
 
-def _input_grad(params: DecoderParams, acts: list[np.ndarray], dout: np.ndarray) -> np.ndarray:
-    """Gradient with respect to the network input only; the third
-    output of ``_backward`` without the weight and bias gradients."""
-    grad = dout
-    for i in range(len(params.weights) - 1, -1, -1):
-        grad = grad @ params.weights[i]
-        if i > 0:
-            grad = grad * (1.0 - acts[i] ** 2)
-    return grad
+def _point_grads(params: DecoderParams, acts: list[np.ndarray]) -> np.ndarray:
+    """Gradient of the output with respect to the query point, (m, 3),
+    from one block's activations, which it overwrites.
+
+    A row's value does not depend on the block's size or on the row's
+    place in it, as long as the row sits in a whole ``_ROW_ALIGN`` group
+    of the block's forward pass: the output's gradient times the last
+    layer is a product over one column, formed as a broadcast multiply,
+    and the last contraction runs over the three point columns of the
+    first layer only, on a contiguous copy.  (The full input width
+    rounds a row differently in blocks of different sizes.)
+    """
+    w = params.weights
+    last = len(w) - 1
+    point = np.ascontiguousarray(w[0][:, params.latent_dim:])
+    if last == 0:
+        return np.broadcast_to(point, (acts[0].shape[0], 3))
+    grad = None
+    for i in range(last, 0, -1):
+        np.square(acts[i], out=acts[i])
+        np.subtract(1.0, acts[i], out=acts[i])
+        if grad is None:
+            grad = acts[i]
+            grad *= w[i]
+        else:
+            grad = grad @ w[i]
+            grad *= acts[i]
+    return grad @ point
 
 
 def _row_blocks(n: int) -> list[tuple[int, int]]:
@@ -211,8 +236,7 @@ def decoder_gradient(params: DecoderParams, z: LatentCode, points) -> np.ndarray
     x = _stack_input(z, np.atleast_2d(np.asarray(points, dtype=np.float64)))
     out = np.empty((x.shape[0], 3))
     for s, e in _row_blocks(x.shape[0]):
-        acts = _forward_acts(params, x[s:e])
-        out[s:e] = _input_grad(params, acts, np.ones((e - s, 1)))[:, params.latent_dim:]
+        out[s:e] = _point_grads(params, _forward_acts(params, x[s:e]))
     return out
 
 
@@ -365,6 +389,7 @@ def infer_latent(
     layers = [np.empty((n, w.shape[0])) for w in params.weights]
     grads = [np.empty((n, w.shape[1])) for w in params.weights]
     target = _clamp(observation.sdf, cfg.clamp_delta)
+    last = len(params.weights) - 1
     for _ in range(cfg.epochs):
         x[:, : params.latent_dim] = z
         acts = _forward_acts(params, x, out=layers)
@@ -375,10 +400,14 @@ def infer_latent(
         np.sign(dpred, out=dpred)
         dpred *= np.abs(pred) < cfg.clamp_delta
         dpred /= n
-        # _input_grad, in place: the activations are spent once used
-        grad = dpred[:, None]
-        for i in range(len(params.weights) - 1, -1, -1):
-            grad = np.matmul(grad, params.weights[i], out=grads[i])
+        # the input gradient of _backward, in place: the activations are
+        # spent once used, and the product over dpred's one column is a
+        # broadcast multiply (the same bits)
+        for i in range(last, -1, -1):
+            if i == last:
+                grad = np.multiply(dpred[:, None], params.weights[i], out=grads[i])
+            else:
+                grad = np.matmul(grad, params.weights[i], out=grads[i])
             if i > 0:
                 np.square(acts[i], out=acts[i])
                 np.subtract(1.0, acts[i], out=acts[i])
@@ -457,7 +486,7 @@ def _screen_field(params: DecoderParams, z: LatentCode) -> SdfField:
     The first layer's code half, ``W0[:, :L] @ z + b0``, is one constant
     per code, so each point costs a 3-column product there.  Rows after
     a call's last whole ``_ROW_ALIGN`` group come back NaN, which keeps
-    them (see ``_kept_field``).
+    them (see ``_kept_pass``).
     """
     w0 = params.weights[0]
     latent = params.latent_dim
@@ -482,9 +511,12 @@ def _screen_field(params: DecoderParams, z: LatentCode) -> SdfField:
     return field
 
 
-def _kept_field(params: DecoderParams, z: LatentCode, tail: int) -> SdfField:
-    """``decoder_forward`` on the grid points the screen keeps, equal bit
-    for bit to its values in the whole-grid pass.
+def _kept_pass(
+    params: DecoderParams, z: LatentCode, tail: int, iso_epsilon: float
+) -> tuple[SdfField, SdfGradient]:
+    """``decoder_forward`` on the grid points the screen keeps, and
+    ``decoder_gradient`` on the candidates among them, from one float64
+    forward pass; both equal bit for bit to the whole-grid pass's.
 
     A row's rounding depends only on where it sits among its block's
     BLAS row groups.  The whole-grid pass evaluates chunks of
@@ -494,16 +526,37 @@ def _kept_field(params: DecoderParams, z: LatentCode, tail: int) -> SdfField:
     Here the kept rows before those are padded to whole groups, and the
     last ``tail`` rows, which the screen always keeps, end the array
     from an aligned offset just as they end the grid.
+
+    The field keeps each block's point gradients (``_point_grads``) with
+    its values.  The gradient function takes the candidates' rows, those
+    with ``|value| <= iso_epsilon``, and computes the last of
+    ``decoder_gradient``'s row blocks over them again as it does: that
+    block alone may end in a partial row group.
     """
+    kept: dict[str, np.ndarray] = {}
 
     def field(points: np.ndarray) -> np.ndarray:
         body = points.shape[0] - tail
         pad = -body % _ROW_ALIGN
-        x = np.concatenate([points[:body], np.zeros((pad, 3)), points[body:]])
-        vals = decoder_forward(params, z, x)
-        return np.concatenate([vals[:body], vals[body + pad:]])
+        x = _stack_input(z, np.concatenate([points[:body], np.zeros((pad, 3)), points[body:]]))
+        vals = np.empty(x.shape[0])
+        grads = np.empty((x.shape[0], 3))
+        for s, e in _row_blocks(x.shape[0]):
+            acts = _forward_acts(params, x[s:e])
+            vals[s:e] = acts[-1][:, 0]
+            grads[s:e] = _point_grads(params, acts)
+        padding = slice(body, body + pad)
+        kept["values"] = np.delete(vals, padding)
+        kept["grads"] = np.delete(grads, padding, axis=0)
+        return kept["values"]
 
-    return field
+    def gradient(cand: np.ndarray) -> np.ndarray:
+        grads = kept["grads"][np.abs(kept["values"]) <= iso_epsilon]
+        s, _ = _row_blocks(cand.shape[0])[-1]
+        grads[s:] = _point_grads(params, _forward_acts(params, _stack_input(z, cand[s:])))
+        return grads
+
+    return field, gradient
 
 
 def reconstruct(
@@ -513,17 +566,26 @@ def reconstruct(
 
     Equal bit for bit to ``extract_surface_points(decoder_field(params,
     z), grid_resolution, gradient_fn=...)`` with ``decoder_gradient``,
-    at about half its cost: a float32 pass (``_screen_field``) screens
-    the grid, and only points whose float32 value lies within the
-    extraction band widened by ``_screen_margin`` get float64 values.
-    The margin bounds the two passes' distance at any grid point, so a
-    point the screen drops has a float64 value outside the band.
+    at a fraction of its cost: a float32 pass (``_screen_field``)
+    screens the grid, and only points whose float32 value lies within
+    the extraction band widened by ``_screen_margin`` get float64
+    values.  The margin bounds the two passes' distance at any grid
+    point, so a point the screen drops has a float64 value outside the
+    band.  The float64 forward pass runs once per kept point
+    (``_kept_pass``): the Newton step's gradients come from the same
+    pass's activations, exact because ``_point_grads`` contracts over
+    the point columns only, and only the candidates in
+    ``decoder_gradient``'s last row block, whose partial row group
+    rounds differently, run forward a second time.
     """
     z = np.asarray(z, dtype=np.float64)
+    field, gradient = _kept_pass(
+        params, z, grid_resolution**3 % _ROW_ALIGN, default_iso_epsilon(grid_resolution)
+    )
     pts = extract_surface_points(
-        _kept_field(params, z, grid_resolution**3 % _ROW_ALIGN),
+        field,
         grid_resolution,
-        gradient_fn=lambda p: decoder_gradient(params, z, p),
+        gradient_fn=gradient,
         screen=(_screen_field(params, z), _screen_margin(params, z)),
     )
     return PointCloud.from_points(pts, TAG_GENERATED)

@@ -388,12 +388,16 @@ def _infer_and_decode(
             epochs=cfg.infer_coarse_steps,
         )
         z = autodecoder.infer_latent(decoder_params, wide, coarse_cfg)
-    obs = autodecoder.view_samples_for_inference(
-        observed,
-        cam,
-        value_cap=decoder_cfg.clamp_delta,
-        max_count=cfg.infer_max_samples,
-    )
+        # the same points and thinning draw with the narrow cap: a value
+        # is its ray gap capped, and clamp_delta < _INFER_COARSE_DELTA
+        obs = SdfSamples(wide.points, np.minimum(wide.sdf, decoder_cfg.clamp_delta))
+    else:
+        obs = autodecoder.view_samples_for_inference(
+            observed,
+            cam,
+            value_cap=decoder_cfg.clamp_delta,
+            max_count=cfg.infer_max_samples,
+        )
     z = autodecoder.infer_latent(decoder_params, obs, decoder_cfg, init=z)
     return autodecoder.reconstruct(decoder_params, z, cfg.grid_resolution)
 

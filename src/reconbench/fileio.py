@@ -10,6 +10,7 @@ an interrupted write never leaves a partial file behind.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from pathlib import Path
 
@@ -121,7 +122,7 @@ def _obj_block(
             pass
     # (line number, message) of the first malformed record of each kind
     errors = []
-    if vertices is None:
+    if vertices is None or not np.isfinite(vertices).all():
         errors.append(_first_vertex_error(path, lines, start, vert_recs))
 
     counts = np.array([len(parts) - 1 for _, parts in face_recs], dtype=np.int64)
@@ -160,15 +161,18 @@ def _obj_block(
 def _first_vertex_error(
     path: Path, lines: list[str], start: int, vert_recs
 ) -> tuple[int, str]:
-    """(line number, message) of the first malformed vertex record."""
+    """(line number, message) of the first malformed vertex record:
+    too short, or a coordinate that is not a finite number."""
     for no, parts in vert_recs:
         if len(parts) < 4:
             return no, f"malformed vertex line in {path}: {lines[no - start - 1]!r}"
         for text in parts[1:4]:
             try:
-                float(text)
+                value = float(text)
             except ValueError:
                 return no, f"{path}:{no}: not a number: {text!r}"
+            if not math.isfinite(value):
+                return no, f"{path}:{no}: not a finite number: {text!r}"
     raise AssertionError("no malformed vertex record")
 
 

@@ -297,8 +297,35 @@ def _valid_count(mask: np.ndarray) -> int:
     return count
 
 
+class _TrainBuffers:
+    """Everything one training step writes, for one image size.
+
+    Held for a whole training run: each step overwrites what it reads,
+    the flat margins are never written, and the accumulated gradients
+    are zeroed at the start of the step.
+    """
+
+    def __init__(self, params: MirrorModelParams, h: int, w: int):
+        self.layout = _Flat(h, w)
+        self.acts, self.cols = _net_buffers(params, self.layout)
+        # the columns of layer i's output gradient go into cols[i + 1],
+        # which has as many channels and is spent by then
+        self.cols.append(self.layout.columns(1))
+        # d loss / d each layer's output, flat
+        self.grads = [self.layout.zeros(k.shape[0]) for k in params.weights]
+        # each kernel transposed over channels and flipped in space
+        self.flipped = [
+            np.empty((k.shape[1], k.shape[0] * KERNEL * KERNEL)) for k in params.weights
+        ]
+        self.gw = [np.zeros(k.shape) for k in params.weights]
+        self.gb = [np.zeros(b.shape) for b in params.biases]
+
+
 def training_loss_gradients(
-    params: MirrorModelParams, inputs: np.ndarray, targets: np.ndarray
+    params: MirrorModelParams,
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    buffers: _TrainBuffers | None = None,
 ):
     """``masked_l1_loss`` of a batch and its full parameter gradients.
 
@@ -309,24 +336,23 @@ def training_loss_gradients(
     gradient is the same-size convolution of the output gradient with
     the kernel transposed over channels and flipped in space, whose ring
     the rectifier mask of the layer below then zeroes.  Layer 0's is not
-    formed.  Exposed for the finite-difference gradient validation.
+    formed.  ``buffers``, when given, are reused, and the returned
+    gradients are theirs.  Exposed for the finite-difference gradient
+    validation.
     """
     n, _, h, wd = inputs.shape
     valid = targets > 0.0
     count = _valid_count(valid)
-    layout = _Flat(h, wd)
-    acts, cols = _net_buffers(params, layout)
-    # the columns of layer i's output gradient go into cols[i + 1],
-    # which has as many channels and is spent by then
-    cols.append(layout.columns(1))
-    # d loss / d each layer's output, flat
-    grads = [layout.zeros(w.shape[0]) for w in params.weights]
-    flipped = [
-        w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(w.shape[1], -1)
-        for w in params.weights
-    ]
-    gw = [np.zeros(w.shape) for w in params.weights]
-    gb = [np.zeros(b.shape) for b in params.biases]
+    if buffers is None:
+        buffers = _TrainBuffers(params, h, wd)
+    layout, acts, cols, grads = buffers.layout, buffers.acts, buffers.cols, buffers.grads
+    gw, gb = buffers.gw, buffers.gb
+    for w, flip, g, b in zip(params.weights, buffers.flipped, gw, gb):
+        flip.reshape(w.shape[1], w.shape[0], KERNEL, KERNEL)[...] = (
+            w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        )
+        g.fill(0.0)
+        b.fill(0.0)
     diff = np.empty(targets.shape)
     last = len(params.weights) - 1
     for k in range(n):
@@ -342,7 +368,7 @@ def training_loss_gradients(
             gb[i] += grad.sum(axis=1)
             if i > 0:
                 np.matmul(
-                    flipped[i],
+                    buffers.flipped[i],
                     layout.im2col(grads[i], cols[i + 1]),
                     out=grads[i - 1][:, layout.body],
                 )
@@ -382,17 +408,19 @@ def train_mirror_model(
     """Fit the completion network on (input pair, target) examples.
 
     Full-batch gradient descent; each epoch is one step, updating the
-    parameters in place.  Zero epochs returns the freshly initialized
-    parameters untouched.  Fixed seeds reproduce parameters exactly.
+    parameters in place, on one set of step buffers for the run.  Zero
+    epochs returns the freshly initialized parameters untouched.  Fixed
+    seeds reproduce parameters exactly.
     """
     inputs, targets = _batch_from_pairs(pairs)
     params = init_mirror_model(cfg)
+    buffers = _TrainBuffers(params, *targets.shape[1:])
     tensors = params.weights + params.biases
     velocities = [np.zeros_like(t) for t in tensors]
     losses: list[float] = []
     lr = cfg.learning_rate
     for _ in range(cfg.epochs):
-        loss, gw, gb = training_loss_gradients(params, inputs, targets)
+        loss, gw, gb = training_loss_gradients(params, inputs, targets, buffers)
         losses.append(loss)
         for t, v, g in zip(tensors, velocities, gw + gb):
             v *= cfg.momentum

@@ -13,9 +13,10 @@ from reconbench.autodecoder import (
     TrainConfig,
     _backward,
     _forward_acts,
-    _input_grad,
-    _kept_field,
+    _kept_pass,
     _loss_terms,
+    _point_grads,
+    _row_blocks,
     _screen_field,
     _screen_margin,
     _stack_input,
@@ -434,7 +435,32 @@ def infer_latent_full_backward(params, observation, cfg) -> np.ndarray:
     return z
 
 
+def matmul_backward(params, acts, dout):
+    """``_backward`` with every product a matrix product, as first written."""
+    gw, gb = [], []
+    grad = dout
+    for i in range(len(params.weights) - 1, -1, -1):
+        gw.insert(0, grad.T @ acts[i])
+        gb.insert(0, grad.sum(axis=0))
+        grad = grad @ params.weights[i]
+        if i > 0:
+            grad = grad * (1.0 - acts[i] ** 2)
+    return gw, gb, grad
+
+
 class TestBlockedKernels:
+    @pytest.mark.parametrize("rows", [1, 40, 256, 1000])
+    def test_backward_equals_the_matmul_backward(self, rows, rng):
+        # the output gradient times the last layer is a product over one
+        # column, which _backward forms as a broadcast multiply
+        params, z = product_decoder()
+        acts = _forward_acts(params, _stack_input(z, rng.normal(size=(rows, 3))))
+        dout = rng.normal(size=(rows, 1))
+        gw, gb, gx = _backward(params, acts, dout)
+        want_gw, want_gb, want_gx = matmul_backward(params, acts, dout)
+        assert all(np.array_equal(a, b) for a, b in zip(gw + gb, want_gw + want_gb))
+        assert np.array_equal(gx, want_gx)
+
     @pytest.mark.parametrize("size", [2049, 4099, "grid32", "grid64"])
     def test_blocked_forward_equals_one_whole_call(self, size, rng):
         params, z = product_decoder()
@@ -445,11 +471,18 @@ class TestBlockedKernels:
         whole = _forward_acts(params, _stack_input(z, pts))[-1][:, 0]
         assert np.array_equal(decoder_forward(params, z, pts), whole)
 
-    def test_input_grad_equals_full_backward(self, rng):
+    @pytest.mark.parametrize("block", [64, 128, 192, 512, 832, 1024, 2048])
+    def test_point_grads_equal_for_every_block_size(self, block, rng):
         params, z = product_decoder()
-        acts = _forward_acts(params, _stack_input(z, rng.normal(size=(500, 3))))
-        dout = rng.normal(size=(500, 1))
-        assert np.array_equal(_input_grad(params, acts, dout), _backward(params, acts, dout)[2])
+        x = _stack_input(z, rng.uniform(-GRID_RADIUS, GRID_RADIUS, size=(4096, 3)))
+        whole = _point_grads(params, _forward_acts(params, x))
+        for s in range(0, len(x), block):
+            rows = _point_grads(params, _forward_acts(params, x[s : s + block]))
+            assert np.array_equal(rows, whole[s : s + block])
+        # and the gradient of the full backward pass, to rounding
+        acts = _forward_acts(params, x[:500])
+        full = _backward(params, acts, np.ones((500, 1)))[2][:, params.latent_dim:]
+        np.testing.assert_allclose(whole[:500], full, rtol=1e-12, atol=1e-15)
 
     def test_analytic_gradient_matches_central_differences(self, rng):
         params, z = product_decoder()
@@ -548,12 +581,18 @@ class TestScreen:
         z = np.zeros(16)
         assert _screen_margin(params, z) > 2.0 * GRID_RADIUS
         rows = []
+        kept_pass = autodecoder._kept_pass
 
-        def counted(p, code, points):
-            rows.append(len(points))
-            return decoder_forward(p, code, points)
+        def counted(*args):
+            field, gradient = kept_pass(*args)
 
-        monkeypatch.setattr(autodecoder, "decoder_forward", counted)
+            def counted_field(points):
+                rows.append(len(points))
+                return field(points)
+
+            return counted_field, gradient
+
+        monkeypatch.setattr(autodecoder, "_kept_pass", counted)
         cloud = reconstruct(params, z, grid_resolution=16)
         assert rows[0] == 16**3
         monkeypatch.undo()
@@ -573,8 +612,33 @@ class TestScreen:
         _, rough = evaluate_on_grid(_screen_field(params, z), res)
         kept = np.abs(rough) <= default_iso_epsilon(res) + _screen_margin(params, z)
         assert 0 < kept.sum() < 0.5 * len(pts)
-        values = _kept_field(params, z, 0)(pts[kept])
+        values = _kept_pass(params, z, 0, default_iso_epsilon(res))[0](pts[kept])
         assert np.array_equal(values, exact[kept])
+
+    @pytest.mark.parametrize("res", [33, 64])
+    def test_one_float64_forward_per_kept_point(self, res, monkeypatch):
+        # at most the kept rows, their padding to a whole row group, and
+        # the candidates of decoder_gradient's last row block once more
+        params, z = product_decoder()
+        rows = []
+        forward = autodecoder._forward_acts
+
+        def counted(p, x, out=None):
+            if x.dtype == np.float64:
+                rows.append(len(x))
+            return forward(p, x, out)
+
+        monkeypatch.setattr(autodecoder, "_forward_acts", counted)
+        cloud = reconstruct(params, z, grid_resolution=res)
+        monkeypatch.undo()
+        _, rough = evaluate_on_grid(_screen_field(params, z), res)
+        kept = int(np.sum(
+            ~np.isfinite(rough)
+            | (np.abs(rough) <= default_iso_epsilon(res) + _screen_margin(params, z))
+        ))
+        start, end = _row_blocks(len(cloud))[-1]
+        assert 0 < len(cloud) <= kept < res**3 // 2
+        assert sum(rows) <= kept + _ROW_ALIGN - 1 + (end - start)
 
     @pytest.mark.parametrize("res", [5, 7, 9, 16, 32, 33, 64])
     def test_reconstruct_equals_the_unscreened_pass(self, res, rng):

@@ -502,6 +502,37 @@ class TestTiming:
         assert result.mirror_ms > 0
         assert result.sdf_ms > 0
 
+    @pytest.mark.parametrize("coarse_steps", [3, 0])
+    def test_inference_samples_equal_one_draw_per_cap(
+        self, unit_sphere, front_camera, monkeypatch, coarse_steps
+    ):
+        from reconbench import autodecoder
+
+        cfg = replace(BenchConfig(), infer_coarse_steps=coarse_steps, infer_max_samples=500)
+        decoder_cfg = cfg.decoder_config(0, epochs=2)
+        params = autodecoder.init_decoder(decoder_cfg)
+        observed = render_depth(unit_sphere, front_camera)
+        seen = []
+
+        def infer(p, obs, c, init=None):
+            seen.append(obs)
+            return np.zeros(p.latent_dim)
+
+        monkeypatch.setattr(autodecoder, "infer_latent", infer)
+        monkeypatch.setattr(autodecoder, "reconstruct", lambda *args: None)
+        bench._infer_and_decode(observed, front_camera, cfg, params, decoder_cfg)
+        caps = [bench._INFER_COARSE_DELTA] * (coarse_steps > 0) + [decoder_cfg.clamp_delta]
+        assert len(seen) == len(caps)
+        for obs, cap in zip(seen, caps):
+            want = autodecoder.view_samples_for_inference(
+                observed, front_camera, value_cap=cap, max_count=500
+            )
+            assert np.array_equal(obs.points, want.points)
+            assert np.array_equal(obs.sdf, want.sdf)
+        # thinned, and the wide cap reaches values the narrow one clips
+        assert len(seen[0]) == 500
+        assert np.max(seen[0].sdf) > decoder_cfg.clamp_delta or not coarse_steps
+
     def test_one_clock_reading_per_timed_region(self, trained_ws, monkeypatch, capsys):
         # a clock that advances one second per reading: each timed
         # region reads it exactly twice, so every time is 1000 ms

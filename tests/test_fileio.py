@@ -170,7 +170,6 @@ def test_obj_parse_matches_reference_on_edge_cases(tmp_path, text):
         _TRIANGLE + "f\n",
         "",
         "# nothing\nvt 0 0\n",
-        "v 1e999 0 0\n",
         # the first malformed record wins
         "v 0 0\nf 1 2 9\n",
         _TRIANGLE + "f 1 2 9\nv 0 0\n",
@@ -184,7 +183,7 @@ def test_obj_parse_matches_reference_on_edge_cases(tmp_path, text):
     ids=["vertex-not-a-number", "face-not-a-number", "face-empty-index", "index-too-high",
          "index-too-low", "index-zero", "index-beyond-int64", "index-ahead-of-vertices",
          "short-vertex", "bare-vertex", "short-vertex-at-end", "two-vertex-face",
-         "empty-face", "empty-file", "no-vertices", "infinite-vertex",
+         "empty-face", "empty-file", "no-vertices",
          "vertex-error-first", "face-error-first", "range-before-number",
          "number-before-count", "count-before-vertex", "late-vertex-error",
          "late-face-error-first", "early-face-error-first"],
@@ -197,6 +196,30 @@ def test_obj_errors_match_reference(tmp_path, text):
     with pytest.raises(InvalidInputError) as got:
         load_obj(path)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "text, line, token",
+    [
+        ("v 1e999 0 0\n", 1, "1e999"),
+        (_TRIANGLE + "v 0 nan 0\n", 4, "nan"),
+        # the first malformed record still wins
+        (_TRIANGLE + "v 0 0 -inf\nf 1 2 9\n", 4, "-inf"),
+        (_TRIANGLE + "f 1 2 9\nv 0 0 -inf\n", None, None),
+        (_MANY + "v 1 inf 2\nv 1 x 2\n", 301, "inf"),
+    ],
+    ids=["infinite-vertex", "nan-vertex", "before-face-error", "after-face-error",
+         "late-block"],
+)
+def test_obj_non_finite_vertex_names_the_line(tmp_path, text, line, token):
+    path = tmp_path / "mesh.obj"
+    path.write_bytes(text.encode())
+    with pytest.raises(InvalidInputError) as got:
+        load_obj(path)
+    if line is None:
+        assert str(got.value) == f"face index 9 out of range in {path}"
+    else:
+        assert str(got.value) == f"{path}:{line}: not a finite number: {token!r}"
 
 
 def test_missing_obj_file(tmp_path):

@@ -492,13 +492,40 @@ class TestTraining:
         ]
         cfg = MirrorTrainConfig(channels=(8, 8, 1), epochs=20, lr_decay=0.99, seed=2)
         result = train_mirror_model(pairs, cfg)
-        monkeypatch.setattr(mirror, "training_loss_gradients", einsum_loss_gradients)
+        # training hands its step buffers along; the reference has none
+        monkeypatch.setattr(
+            mirror, "training_loss_gradients",
+            lambda params, inputs, targets, buffers: einsum_loss_gradients(
+                params, inputs, targets
+            ),
+        )
         ref = train_mirror_model(pairs, cfg)
         assert len(result.epoch_losses) == 20
         assert np.allclose(result.epoch_losses, ref.epoch_losses, rtol=1e-9, atol=0.0)
         assert result.epoch_losses[-1] < result.epoch_losses[0]
         for got, want in zip(result.params.weights, ref.params.weights):
             assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    def test_reused_buffers_change_no_bit(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        inputs, targets = odd_batch(rng, n=3, h=10, w=7)
+        pairs = [
+            ((DepthImage(inp[0]), DepthImage(inp[1])), DepthImage(target))
+            for inp, target in zip(inputs, targets)
+        ]
+        cfg = MirrorTrainConfig(channels=(8, 8, 1), epochs=12, lr_decay=0.95, seed=3)
+        result = train_mirror_model(pairs, cfg)
+        fresh = mirror.training_loss_gradients
+        # every step on freshly allocated buffers
+        monkeypatch.setattr(
+            mirror, "training_loss_gradients",
+            lambda params, inputs, targets, buffers: fresh(params, inputs, targets),
+        )
+        ref = train_mirror_model(pairs, cfg)
+        assert result.epoch_losses == ref.epoch_losses
+        for got, want in zip(result.params.weights + result.params.biases,
+                             ref.params.weights + ref.params.biases):
+            assert np.array_equal(got, want)
 
     def test_non_positive_widths_rejected(self):
         for channels in ((8, 0, 1), (8, -1, 1), (0, 1)):
