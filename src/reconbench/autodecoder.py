@@ -8,9 +8,13 @@ the weights frozen.  Losses clamp both prediction and target to a band
 around the surface so supervision concentrates where it matters.
 
 Everything is plain numpy with hand-written backpropagation; gradients
-are validated against finite differences in the test suite.  Grid
-decoding screens the grid in float32 and computes float64 values, and
-the Newton step's gradients from the same pass, only where a proven
+are validated against finite differences in the test suite.  Training
+runs the stacked network on code and point together.  Every pass with
+a fixed code (``decoder_forward``, ``decoder_gradient``, grid decoding
+and latent inference) runs one row-blocked forward, ``_FixedCode``,
+whose first layer is the code's constant plus a 3-column point product.
+Grid decoding screens the grid in float32 and computes float64 values,
+and the Newton step's gradients from the same pass, only where a proven
 error margin cannot rule a point out, so its output is the all-float64
 one bit for bit (see ``reconstruct``).
 """
@@ -138,15 +142,12 @@ def init_decoder(cfg: TrainConfig, rng: np.random.Generator | None = None) -> De
     return DecoderParams(cfg.latent_dim, tuple(weights), tuple(biases))
 
 
-def _forward_acts(
-    params: DecoderParams, x: np.ndarray, out: list[np.ndarray] | None = None
-) -> list[np.ndarray]:
-    """Input and every layer's output; ``out``, when given, holds one
-    preallocated array per layer for them."""
+def _forward_acts(params: DecoderParams, x: np.ndarray) -> list[np.ndarray]:
+    """Input and every layer's output."""
     acts = [x]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        pre = np.matmul(acts[-1], w.T, out=None if out is None else out[i])
+        pre = acts[-1] @ w.T
         pre += b
         acts.append(pre if i == last else np.tanh(pre, out=pre))
     return acts
@@ -173,36 +174,6 @@ def _backward(params: DecoderParams, acts: list[np.ndarray], dout: np.ndarray):
     return gw, gb, grad
 
 
-def _point_grads(params: DecoderParams, acts: list[np.ndarray]) -> np.ndarray:
-    """Gradient of the output with respect to the query point, (m, 3),
-    from one block's activations, which it overwrites.
-
-    A row's value does not depend on the block's size or on the row's
-    place in it, as long as the row sits in a whole ``_ROW_ALIGN`` group
-    of the block's forward pass: the output's gradient times the last
-    layer is a product over one column, formed as a broadcast multiply,
-    and the last contraction runs over the three point columns of the
-    first layer only, on a contiguous copy.  (The full input width
-    rounds a row differently in blocks of different sizes.)
-    """
-    w = params.weights
-    last = len(w) - 1
-    point = np.ascontiguousarray(w[0][:, params.latent_dim:])
-    if last == 0:
-        return np.broadcast_to(point, (acts[0].shape[0], 3))
-    grad = None
-    for i in range(last, 0, -1):
-        np.square(acts[i], out=acts[i])
-        np.subtract(1.0, acts[i], out=acts[i])
-        if grad is None:
-            grad = acts[i]
-            grad *= w[i]
-        else:
-            grad = grad @ w[i]
-            grad *= acts[i]
-    return grad @ point
-
-
 def _row_blocks(n: int) -> list[tuple[int, int]]:
     """Near-equal (start, end) blocks of at most about ``_ROW_BLOCK`` rows,
     each starting at a multiple of ``_ROW_ALIGN``."""
@@ -211,33 +182,168 @@ def _row_blocks(n: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _stack_input(z: np.ndarray, points: np.ndarray) -> np.ndarray:
+def _check_code(params: DecoderParams, z: LatentCode) -> np.ndarray:
+    """``z`` as a float64 vector of the decoder's latent size."""
     z = np.asarray(z, dtype=np.float64)
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise InvalidInputError("points must be (N, 3)")
-    if z.ndim != 1:
-        raise InvalidInputError("latent code must be a vector")
-    return np.concatenate([np.broadcast_to(z, (pts.shape[0], z.shape[0])), pts], axis=1)
+    if z.shape != (params.latent_dim,):
+        raise InvalidInputError(
+            f"latent code has shape {z.shape}; the decoder takes {params.latent_dim} entries"
+        )
+    return z
+
+
+class _FixedCode:
+    """The decoder with its latent code held fixed, evaluated in ``dtype``:
+    the one forward pass of ``decoder_forward``, ``decoder_gradient``,
+    the float32 screen, the kept pass and latent inference.
+
+    Layer 0 splits in two.  Its code half plus its bias,
+    ``W0[:, :L] @ z + b0``, is one constant per code, formed in float64
+    and rounded once to ``dtype``; each point then costs a 3-column
+    product with a contiguous copy of ``W0[:, L:]``.  Every bias is added
+    from a row tile of it, which gives the bits of a broadcast add at
+    about half the cost.  The tiles and the layer buffers grow to the
+    largest block seen and serve every later one, so a pass allocates no
+    block-sized array.
+
+    A row's value does not depend on the block's size or on the row's
+    place in it, as long as the row sits in a whole ``_ROW_ALIGN`` group
+    of the block (see ``_kept_pass``).
+    """
+
+    def __init__(self, params: DecoderParams, z: LatentCode, dtype=np.float64):
+        z = _check_code(params, z)
+        w0 = params.weights[0]
+        self.dtype = dtype
+        self.code_weights = w0[:, : params.latent_dim]
+        self.first_bias = params.biases[0]
+        self.point = np.ascontiguousarray(w0[:, params.latent_dim :], dtype=dtype)
+        self.weights = [w.astype(dtype, copy=False) for w in params.weights[1:]]
+        self.biases = [self.first_bias, *(b.astype(dtype) for b in params.biases[1:])]
+        self.tiles = [np.empty((0, b.shape[0]), dtype) for b in self.biases]
+        self.outs = [np.empty((0, b.shape[0]), dtype) for b in self.biases]
+        # the gathered live rows of each hidden layer, for code_grad
+        self.gathered = [np.empty((0, b.shape[0]), dtype) for b in self.biases[:-1]]
+        self.set_code(z)
+
+    def set_code(self, z: np.ndarray) -> None:
+        """Hold code ``z`` from now on."""
+        self.biases[0] = (self.code_weights @ z + self.first_bias).astype(self.dtype)
+        self.tiles[0][...] = self.biases[0]
+
+    def _grow(self, arrays: list[np.ndarray], m: int) -> list[np.ndarray]:
+        if not arrays or arrays[0].shape[0] >= m:
+            return arrays
+        return [np.empty((m, a.shape[1]), self.dtype) for a in arrays]
+
+    def layers(self, first: np.ndarray) -> list[np.ndarray]:
+        """Every layer's output for one block, given the block's layer-0
+        point product ``first``; the outputs are views of the layer
+        buffers, good until the next call."""
+        m = first.shape[0]
+        if self.tiles[0].shape[0] < m:
+            self.tiles = [np.tile(b, (m, 1)) for b in self.biases]
+        self.outs = self._grow(self.outs, m)
+        acts: list[np.ndarray] = []
+        last = len(self.tiles) - 1
+        for i, (tile, out) in enumerate(zip(self.tiles, self.outs)):
+            if i == 0:
+                h = np.add(first, tile[:m], out=out[:m])
+            else:
+                h = np.matmul(acts[-1], self.weights[i - 1].T, out=out[:m])
+                np.add(h, tile[:m], out=h)
+            acts.append(h if i == last else np.tanh(h, out=h))
+        return acts
+
+    def forward(self, points: np.ndarray) -> list[np.ndarray]:
+        """Every layer's output for one block of points, as ``layers``."""
+        m = points.shape[0]
+        self.outs = self._grow(self.outs, m)
+        return self.layers(np.matmul(points, self.point.T, out=self.outs[0][:m]))
+
+    def point_grads(self, acts: list[np.ndarray]) -> np.ndarray:
+        """Gradient of the output with respect to the query point, (m, 3),
+        from one block's activations, which it overwrites.
+
+        The output's gradient times the last layer is a product over one
+        column, formed as a broadcast multiply, and the last contraction
+        runs over the point columns of layer 0 only.
+        """
+        last = len(acts) - 1
+        if last == 0:
+            return np.broadcast_to(self.point, (acts[0].shape[0], 3))
+        grad = None
+        for i in range(last - 1, -1, -1):
+            np.square(acts[i], out=acts[i])
+            np.subtract(1.0, acts[i], out=acts[i])
+            if grad is None:
+                grad = acts[i]
+                grad *= self.weights[-1]
+            else:
+                grad = grad @ self.weights[i]
+                grad *= acts[i]
+        return grad @ self.point
+
+    def code_grad(self, acts: list[np.ndarray], dpred: np.ndarray) -> np.ndarray | None:
+        """The sum over one block's rows of d(objective)/d(layer 0's
+        pre-activation), given d(objective)/d(output) per row and the
+        block's activations, which it overwrites; None when every row's
+        ``dpred`` is zero.
+
+        Only the live rows, those with a nonzero ``dpred``, are carried
+        back: a dead row's gradient is exactly zero, and the rows sum in
+        order, so leaving it out changes no bit.  A lone live row takes a
+        dead one along, which keeps the products on the matrix kernel the
+        whole block would use (one row goes to a matrix-vector kernel
+        that rounds differently).
+        """
+        live = np.flatnonzero(dpred)
+        if live.size == 0:
+            return None
+        if live.size == 1 and dpred.shape[0] > 1:
+            live = np.array([live[0], (live[0] + 1) % dpred.shape[0]])
+        k = live.size
+        self.gathered = self._grow(self.gathered, k)
+        grad = dpred[live, None]
+        last = len(acts) - 1
+        for i in range(last - 1, -1, -1):
+            # layer i's activations, once gathered, leave its buffer free
+            # for the product carried into it
+            rows = np.take(acts[i], live, axis=0, out=self.gathered[i][:k], mode="clip")
+            product = np.multiply if i == last - 1 else np.matmul
+            grad = product(grad, self.weights[i], out=acts[i][:k])
+            np.square(rows, out=rows)
+            np.subtract(1.0, rows, out=rows)
+            rows *= grad
+            grad = rows
+        return grad.sum(axis=0)
+
+    def evaluate(self, points, with_grads: bool = False):
+        """Values at ``points`` in ``_row_blocks``, and with ``with_grads``
+        their point gradients from the same pass; (values, grads or None)."""
+        pts = np.atleast_2d(np.asarray(points, dtype=self.dtype))
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise InvalidInputError("points must be (N, 3)")
+        n = pts.shape[0]
+        vals = np.empty(n, dtype=self.dtype)
+        grads = np.empty((n, 3), dtype=self.dtype) if with_grads else None
+        for s, e in _row_blocks(n):
+            acts = self.forward(pts[s:e])
+            vals[s:e] = acts[-1][:, 0]
+            if with_grads:
+                grads[s:e] = self.point_grads(acts)
+        return vals, grads
 
 
 def decoder_forward(params: DecoderParams, z: LatentCode, points) -> np.ndarray:
     """Predicted signed distance at each point under code z."""
-    x = _stack_input(z, np.atleast_2d(np.asarray(points, dtype=np.float64)))
-    out = np.empty(x.shape[0])
-    for s, e in _row_blocks(x.shape[0]):
-        out[s:e] = _forward_acts(params, x[s:e])[-1][:, 0]
-    return out
+    return _FixedCode(params, z).evaluate(points)[0]
 
 
 def decoder_gradient(params: DecoderParams, z: LatentCode, points) -> np.ndarray:
     """Exact gradient of the predicted signed distance with respect to
     each query point under code z, shape (N, 3)."""
-    x = _stack_input(z, np.atleast_2d(np.asarray(points, dtype=np.float64)))
-    out = np.empty((x.shape[0], 3))
-    for s, e in _row_blocks(x.shape[0]):
-        out[s:e] = _point_grads(params, _forward_acts(params, x[s:e]))
-    return out
+    return _FixedCode(params, z).evaluate(points, with_grads=True)[1]
 
 
 def decoder_output_gradients(params: DecoderParams, z: LatentCode, point):
@@ -246,8 +352,8 @@ def decoder_output_gradients(params: DecoderParams, z: LatentCode, point):
     Returns (weight_grads, bias_grads, z_grad); used by the
     finite-difference validation.
     """
-    x = _stack_input(z, np.asarray(point, dtype=np.float64)[None, :])
-    acts = _forward_acts(params, x)
+    x = np.concatenate([_check_code(params, z), np.asarray(point, dtype=np.float64)])
+    acts = _forward_acts(params, x[None, :])
     gw, gb, gx = _backward(params, acts, np.ones((1, 1)))
     return gw, gb, gx[0, : params.latent_dim]
 
@@ -370,50 +476,45 @@ def infer_latent(
     far from the observations, so a coarse wide-band pass followed by a
     narrow refinement pass warm-started from its result escapes the
     clamp's dead zone.
+
+    Each step runs ``_FixedCode``'s forward over ``_row_blocks`` of the
+    samples; a block's layer-0 point product is formed once per call,
+    and a step adds the code's constant to it.  The backward stops at
+    layer 0's pre-activation and runs on the rows the clamp leaves a
+    gradient only, and the code's gradient is the sum of those rows
+    times ``W0[:, :L]``, plus the prior's.
     """
     if len(observation) == 0:
         raise InvalidInputError("cannot infer a code from no samples")
     if init is None:
         z = np.zeros(params.latent_dim)
     else:
-        z = np.asarray(init, dtype=np.float64).copy()
-        if z.shape != (params.latent_dim,):
-            raise InvalidInputError("init shape must match the latent size")
+        z = _check_code(params, init).copy()
     vel = np.zeros_like(z)
     code_lr = cfg.code_learning_rate
-    # one set of buffers for every step: the stacked input, whose code
-    # columns each step rewrites, each layer's output and each layer's
-    # input gradient
-    x = _stack_input(z, observation.points)
-    n = x.shape[0]
-    layers = [np.empty((n, w.shape[0])) for w in params.weights]
-    grads = [np.empty((n, w.shape[1])) for w in params.weights]
+    fixed = _FixedCode(params, z)
+    pts = observation.points
+    n = pts.shape[0]
+    blocks = _row_blocks(n)
+    # each block's layer-0 point product serves every step
+    firsts = [pts[s:e] @ fixed.point.T for s, e in blocks]
     target = _clamp(observation.sdf, cfg.clamp_delta)
-    last = len(params.weights) - 1
     for _ in range(cfg.epochs):
-        x[:, : params.latent_dim] = z
-        acts = _forward_acts(params, x, out=layers)
-        pred = acts[-1][:, 0]
-        # d(loss)/d(pred) of _loss_terms; its loss value and prior term
-        # are not needed here
-        dpred = _clamp(pred, cfg.clamp_delta) - target
-        np.sign(dpred, out=dpred)
-        dpred *= np.abs(pred) < cfg.clamp_delta
-        dpred /= n
-        # the input gradient of _backward, in place: the activations are
-        # spent once used, and the product over dpred's one column is a
-        # broadcast multiply (the same bits)
-        for i in range(last, -1, -1):
-            if i == last:
-                grad = np.multiply(dpred[:, None], params.weights[i], out=grads[i])
-            else:
-                grad = np.matmul(grad, params.weights[i], out=grads[i])
-            if i > 0:
-                np.square(acts[i], out=acts[i])
-                np.subtract(1.0, acts[i], out=acts[i])
-                grad *= acts[i]
-        gz = grad[:, : params.latent_dim].sum(axis=0)
-        gz = gz + 2.0 * cfg.code_prior_weight * z
+        fixed.set_code(z)
+        total = np.zeros(params.weights[0].shape[0])
+        for (s, e), first in zip(blocks, firsts):
+            acts = fixed.layers(first)
+            pred = acts[-1][:, 0]
+            # d(loss)/d(pred) of _loss_terms; its loss value and prior
+            # term are not needed here
+            dpred = _clamp(pred, cfg.clamp_delta) - target[s:e]
+            np.sign(dpred, out=dpred)
+            dpred *= np.abs(pred) < cfg.clamp_delta
+            dpred /= n
+            block = fixed.code_grad(acts, dpred)
+            if block is not None:
+                total += block
+        gz = total @ fixed.code_weights + 2.0 * cfg.code_prior_weight * z
         vel = cfg.momentum * vel - code_lr * gz
         z = z + vel
         code_lr *= cfg.lr_decay
@@ -481,31 +582,14 @@ def _screen_margin(params: DecoderParams, z: LatentCode) -> float:
 
 
 def _screen_field(params: DecoderParams, z: LatentCode) -> SdfField:
-    """The decoder in float32, for screening grid points.
-
-    The first layer's code half, ``W0[:, :L] @ z + b0``, is one constant
-    per code, so each point costs a 3-column product there.  Rows after
-    a call's last whole ``_ROW_ALIGN`` group come back NaN, which keeps
-    them (see ``_kept_pass``).
-    """
-    w0 = params.weights[0]
-    latent = params.latent_dim
-    screen = DecoderParams(
-        0,
-        tuple(w.astype(np.float32) for w in (w0[:, latent:], *params.weights[1:])),
-        tuple(
-            b.astype(np.float32)
-            for b in (w0[:, :latent] @ z + params.biases[0], *params.biases[1:])
-        ),
-    )
+    """The decoder in float32, for screening grid points.  Rows after a
+    call's last whole ``_ROW_ALIGN`` group come back NaN, which keeps
+    them (see ``_kept_pass``)."""
+    fixed = _FixedCode(params, z, np.float32)
 
     def field(points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float32)
-        n = pts.shape[0]
-        out = np.empty(n, dtype=np.float32)
-        for s, e in _row_blocks(n):
-            out[s:e] = _forward_acts(screen, pts[s:e])[-1][:, 0]
-        out[n - n % _ROW_ALIGN:] = np.nan
+        out = fixed.evaluate(points)[0]
+        out[out.shape[0] - out.shape[0] % _ROW_ALIGN:] = np.nan
         return out
 
     return field
@@ -527,24 +611,21 @@ def _kept_pass(
     last ``tail`` rows, which the screen always keeps, end the array
     from an aligned offset just as they end the grid.
 
-    The field keeps each block's point gradients (``_point_grads``) with
-    its values.  The gradient function takes the candidates' rows, those
-    with ``|value| <= iso_epsilon``, and computes the last of
+    The field keeps each block's point gradients with its values.  The
+    gradient function takes the candidates' rows, those with
+    ``|value| <= iso_epsilon``, and computes the last of
     ``decoder_gradient``'s row blocks over them again as it does: that
     block alone may end in a partial row group.
     """
+    fixed = _FixedCode(params, z)
     kept: dict[str, np.ndarray] = {}
 
     def field(points: np.ndarray) -> np.ndarray:
         body = points.shape[0] - tail
         pad = -body % _ROW_ALIGN
-        x = _stack_input(z, np.concatenate([points[:body], np.zeros((pad, 3)), points[body:]]))
-        vals = np.empty(x.shape[0])
-        grads = np.empty((x.shape[0], 3))
-        for s, e in _row_blocks(x.shape[0]):
-            acts = _forward_acts(params, x[s:e])
-            vals[s:e] = acts[-1][:, 0]
-            grads[s:e] = _point_grads(params, acts)
+        vals, grads = fixed.evaluate(
+            np.concatenate([points[:body], np.zeros((pad, 3)), points[body:]]), with_grads=True
+        )
         padding = slice(body, body + pad)
         kept["values"] = np.delete(vals, padding)
         kept["grads"] = np.delete(grads, padding, axis=0)
@@ -553,7 +634,7 @@ def _kept_pass(
     def gradient(cand: np.ndarray) -> np.ndarray:
         grads = kept["grads"][np.abs(kept["values"]) <= iso_epsilon]
         s, _ = _row_blocks(cand.shape[0])[-1]
-        grads[s:] = _point_grads(params, _forward_acts(params, _stack_input(z, cand[s:])))
+        grads[s:] = fixed.point_grads(fixed.forward(cand[s:]))
         return grads
 
     return field, gradient
@@ -571,12 +652,14 @@ def reconstruct(
     the extraction band widened by ``_screen_margin`` get float64
     values.  The margin bounds the two passes' distance at any grid
     point, so a point the screen drops has a float64 value outside the
-    band.  The float64 forward pass runs once per kept point
+    band.  Both passes are ``_FixedCode``'s forward, in float32 and in
+    float64.  The float64 pass runs once per kept point
     (``_kept_pass``): the Newton step's gradients come from the same
-    pass's activations, exact because ``_point_grads`` contracts over
+    pass's activations, exact because the point backward contracts over
     the point columns only, and only the candidates in
     ``decoder_gradient``'s last row block, whose partial row group
-    rounds differently, run forward a second time.
+    rounds differently, run forward a second time.  A code of the wrong
+    length raises ``InvalidInputError``.
     """
     z = np.asarray(z, dtype=np.float64)
     field, gradient = _kept_pass(
@@ -593,6 +676,11 @@ def reconstruct(
 
 # ---------------------------------------------------------------------------
 # observation samples from a single depth view
+
+
+def _step_numbers(steps: np.ndarray) -> np.ndarray:
+    """1, 2, ..., steps[i] for each ray i in turn, as one array."""
+    return np.arange(steps.sum()) - np.repeat(np.cumsum(steps) - steps, steps) + 1
 
 
 def view_samples_for_inference(
@@ -634,8 +722,7 @@ def view_samples_for_inference(
     steps = np.maximum(np.floor(span / spacing).astype(np.int64), 0)
     ray_idx = np.repeat(np.arange(len(cloud)), steps)
     if ray_idx.size:
-        k = np.concatenate([np.arange(1, s + 1) for s in steps if s > 0])
-        gap = k * spacing
+        gap = _step_numbers(steps) * spacing
         free_pts = cloud.points[ray_idx] - dirs[ray_idx] * gap[:, None]
         free_val = np.minimum(gap, value_cap)
     else:

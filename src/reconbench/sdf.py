@@ -315,8 +315,11 @@ def evaluate_on_grid(
     the output order of everything built on top.
     """
     axis = grid_axis(resolution, radius)
-    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+    pts = np.empty((resolution, resolution, resolution, 3))
+    pts[..., 0] = axis[:, None, None]
+    pts[..., 1] = axis[:, None]
+    pts[..., 2] = axis
+    pts = pts.reshape(-1, 3)
     vals = np.empty(pts.shape[0])
     for s in range(0, pts.shape[0], _GRID_CHUNK):
         e = min(pts.shape[0], s + _GRID_CHUNK)

@@ -8,18 +8,19 @@ import pytest
 from reconbench import autodecoder
 from reconbench.autodecoder import (
     _ROW_ALIGN,
+    _ROW_BLOCK,
     _TANH_ERR,
     DecoderParams,
     TrainConfig,
     _backward,
+    _FixedCode,
     _forward_acts,
     _kept_pass,
     _loss_terms,
-    _point_grads,
     _row_blocks,
     _screen_field,
     _screen_margin,
-    _stack_input,
+    _step_numbers,
     decoder_field,
     decoder_forward,
     decoder_gradient,
@@ -122,6 +123,34 @@ class TestForward:
         z = np.array([0.3])
         out = decoder_forward(params, z, np.array([[0.4, -0.2, 0.9]]))
         assert out[0] == pytest.approx(2.0 * np.tanh(0.3) + 0.5, abs=1e-15)
+
+    def test_wrong_length_code_names_both_lengths(self):
+        params, code = product_decoder()
+        pts = np.zeros((4, 3))
+        obs = SdfSamples(pts, np.zeros(4))
+        calls = (
+            lambda: decoder_forward(params, code[:15], pts),
+            lambda: decoder_gradient(params, code[:15], pts),
+            lambda: reconstruct(params, code[:15], grid_resolution=8),
+            lambda: decoder_output_gradients(params, code[:15], pts[0]),
+            lambda: infer_latent(params, obs, TrainConfig(), init=code[:15]),
+        )
+        for call in calls:
+            with pytest.raises(InvalidInputError, match=r"shape \(15,\).* 16 entries"):
+                call()
+
+    def test_single_layer_decoder_is_linear(self, rng):
+        w = np.array([[0.5, -1.0, 2.0, 0.25]])
+        params = DecoderParams(1, (w,), (np.array([0.1]),))
+        z = np.array([0.3])
+        pts = rng.normal(size=(5, 3))
+        assert np.allclose(decoder_forward(params, z, pts), 0.15 + pts @ w[0, 1:] + 0.1)
+        assert np.array_equal(decoder_gradient(params, z, pts), np.tile(w[0, 1:], (5, 1)))
+        # the loss pulls the output down by d(loss)/d(pred) = 1 / n per row
+        obs = SdfSamples(pts, np.full(5, -100.0))
+        cfg = TrainConfig(latent_dim=1, hidden=(1,), epochs=1, clamp_delta=1000.0,
+                          code_learning_rate=0.1, code_prior_weight=0.0)
+        assert np.allclose(infer_latent(params, obs, cfg, init=z), z - 0.1 * 0.5)
 
     def test_field_adapter(self, rng):
         cfg = tiny_config()
@@ -418,6 +447,11 @@ def product_decoder() -> tuple[DecoderParams, np.ndarray]:
     return params, np.random.default_rng(7).normal(0.0, 0.1, size=16)
 
 
+def stacked(z, points) -> np.ndarray:
+    """The training path's network input: the code beside each point."""
+    return np.concatenate([np.broadcast_to(z, (len(points), len(z))), points], axis=1)
+
+
 def infer_latent_full_backward(params, observation, cfg) -> np.ndarray:
     """Latent inference as written with the full backward pass, which
     also computes the weight and bias gradients."""
@@ -425,10 +459,45 @@ def infer_latent_full_backward(params, observation, cfg) -> np.ndarray:
     vel = np.zeros_like(z)
     code_lr = cfg.code_learning_rate
     for _ in range(cfg.epochs):
-        acts = _forward_acts(params, _stack_input(z, observation.points))
+        acts = _forward_acts(params, stacked(z, observation.points))
         _, dpred = _loss_terms(acts[-1][:, 0], observation.sdf, z[None, :], cfg)
         _, _, gx = _backward(params, acts, dpred[:, None])
         gz = gx[:, : params.latent_dim].sum(axis=0) + 2.0 * cfg.code_prior_weight * z
+        vel = cfg.momentum * vel - code_lr * gz
+        z = z + vel
+        code_lr *= cfg.lr_decay
+    return z
+
+
+def frozen_split_inference(params, observation, cfg, init=None) -> np.ndarray:
+    """Latent inference on the split layer 0 as first written: broadcast
+    bias adds, every row of every row block carried back to layer 0's
+    pre-activation, and ``gz = (sum of those rows) @ W0[:, :L]``."""
+    latent = params.latent_dim
+    w0 = params.weights[0]
+    point = np.ascontiguousarray(w0[:, latent:])
+    z = np.zeros(latent) if init is None else np.array(init, dtype=np.float64)
+    vel = np.zeros_like(z)
+    code_lr = cfg.code_learning_rate
+    n = len(observation)
+    target = np.clip(observation.sdf, -cfg.clamp_delta, cfg.clamp_delta)
+    for _ in range(cfg.epochs):
+        total = np.zeros(w0.shape[0])
+        constant = w0[:, :latent] @ z + params.biases[0]
+        for s, e in _row_blocks(n):
+            acts = [np.tanh(observation.points[s:e] @ point.T + constant)]
+            for w, b in zip(params.weights[1:-1], params.biases[1:-1]):
+                acts.append(np.tanh(acts[-1] @ w.T + b))
+            pred = (acts[-1] @ params.weights[-1].T + params.biases[-1])[:, 0]
+            r = np.clip(pred, -cfg.clamp_delta, cfg.clamp_delta) - target[s:e]
+            grad = (np.sign(r) * (np.abs(pred) < cfg.clamp_delta) / n)[:, None]
+            grad = grad * params.weights[-1]
+            for i in range(len(acts) - 1, -1, -1):
+                grad = grad * (1.0 - acts[i] ** 2)
+                if i > 0:
+                    grad = grad @ params.weights[i]
+            total += grad.sum(axis=0)
+        gz = total @ w0[:, :latent] + 2.0 * cfg.code_prior_weight * z
         vel = cfg.momentum * vel - code_lr * gz
         z = z + vel
         code_lr *= cfg.lr_decay
@@ -454,7 +523,7 @@ class TestBlockedKernels:
         # the output gradient times the last layer is a product over one
         # column, which _backward forms as a broadcast multiply
         params, z = product_decoder()
-        acts = _forward_acts(params, _stack_input(z, rng.normal(size=(rows, 3))))
+        acts = _forward_acts(params, stacked(z, rng.normal(size=(rows, 3))))
         dout = rng.normal(size=(rows, 1))
         gw, gb, gx = _backward(params, acts, dout)
         want_gw, want_gb, want_gx = matmul_backward(params, acts, dout)
@@ -468,19 +537,20 @@ class TestBlockedKernels:
             pts, _ = evaluate_on_grid(lambda p: np.zeros(len(p)), int(size[4:]))
         else:
             pts = rng.uniform(-GRID_RADIUS, GRID_RADIUS, size=(size, 3))
-        whole = _forward_acts(params, _stack_input(z, pts))[-1][:, 0]
+        whole = _FixedCode(params, z).forward(pts)[-1][:, 0]
         assert np.array_equal(decoder_forward(params, z, pts), whole)
 
     @pytest.mark.parametrize("block", [64, 128, 192, 512, 832, 1024, 2048])
     def test_point_grads_equal_for_every_block_size(self, block, rng):
         params, z = product_decoder()
-        x = _stack_input(z, rng.uniform(-GRID_RADIUS, GRID_RADIUS, size=(4096, 3)))
-        whole = _point_grads(params, _forward_acts(params, x))
-        for s in range(0, len(x), block):
-            rows = _point_grads(params, _forward_acts(params, x[s : s + block]))
+        fixed = _FixedCode(params, z)
+        pts = rng.uniform(-GRID_RADIUS, GRID_RADIUS, size=(4096, 3))
+        whole = fixed.point_grads(fixed.forward(pts))
+        for s in range(0, len(pts), block):
+            rows = fixed.point_grads(fixed.forward(pts[s : s + block]))
             assert np.array_equal(rows, whole[s : s + block])
         # and the gradient of the full backward pass, to rounding
-        acts = _forward_acts(params, x[:500])
+        acts = _forward_acts(params, stacked(z, pts[:500]))
         full = _backward(params, acts, np.ones((500, 1)))[2][:, params.latent_dim:]
         np.testing.assert_allclose(whole[:500], full, rtol=1e-12, atol=1e-15)
 
@@ -503,7 +573,47 @@ class TestBlockedKernels:
         )
         z = infer_latent(params, obs, cfg)
         assert np.any(z != 0.0)
-        assert np.array_equal(z, infer_latent_full_backward(params, obs, cfg))
+        assert np.array_equal(z, frozen_split_inference(params, obs, cfg))
+        np.testing.assert_allclose(z, infer_latent_full_backward(params, obs, cfg), rtol=1e-12)
+
+    def test_dead_rows_only_move_the_code_by_the_prior(self, rng):
+        # no prediction lies inside a clamp band this narrow
+        params, code = product_decoder()
+        obs = SdfSamples(rng.uniform(-1.0, 1.0, size=(300, 3)), np.zeros(300))
+        cfg = TrainConfig(epochs=1, code_learning_rate=0.05, clamp_delta=1e-9)
+        assert np.all(np.abs(decoder_forward(params, code, obs.points)) >= cfg.clamp_delta)
+        z = infer_latent(params, obs, cfg, init=code)
+        prior_only = code - cfg.code_learning_rate * (2.0 * cfg.code_prior_weight * code)
+        assert np.array_equal(z, prior_only)
+        assert np.array_equal(z, frozen_split_inference(params, obs, cfg, init=code))
+
+    @pytest.mark.parametrize("row", [0, 150, 299])
+    def test_one_live_row_equals_all_rows(self, row, rng):
+        # every other target equals its prediction, so its residual is 0
+        params, code = product_decoder()
+        pts = rng.uniform(-1.0, 1.0, size=(300, 3))
+        cfg = TrainConfig(epochs=1, code_learning_rate=0.05, clamp_delta=1.0)
+        target = decoder_forward(params, code, pts)
+        target[row] += 0.05
+        obs = SdfSamples(pts, target)
+        z = infer_latent(params, obs, cfg, init=code)
+        assert np.array_equal(z, frozen_split_inference(params, obs, cfg, init=code))
+        prior_only = code - cfg.code_learning_rate * (2.0 * cfg.code_prior_weight * code)
+        assert not np.array_equal(z, prior_only)
+
+    def test_live_rows_over_many_blocks_equal_all_rows(self, rng):
+        params, _ = product_decoder()
+        n = 2 * _ROW_BLOCK + 500
+        obs = SdfSamples(rng.uniform(-1.0, 1.0, size=(n, 3)), rng.uniform(-0.1, 0.1, size=n))
+        cfg = TrainConfig(
+            epochs=8, code_learning_rate=0.05, momentum=0.9, lr_decay=0.97, clamp_delta=0.05
+        )
+        live = np.abs(decoder_forward(params, np.zeros(16), obs.points)) < cfg.clamp_delta
+        assert 0.05 < live.mean() < 0.95
+        assert len(_row_blocks(n)) == 3
+        z = infer_latent(params, obs, cfg)
+        assert np.any(z != 0.0)
+        assert np.array_equal(z, frozen_split_inference(params, obs, cfg))
 
     def test_extraction_with_analytic_gradient(self):
         params, z = product_decoder()
@@ -621,14 +731,14 @@ class TestScreen:
         # the candidates of decoder_gradient's last row block once more
         params, z = product_decoder()
         rows = []
-        forward = autodecoder._forward_acts
+        forward = _FixedCode.forward
 
-        def counted(p, x, out=None):
-            if x.dtype == np.float64:
-                rows.append(len(x))
-            return forward(p, x, out)
+        def counted(fixed, points):
+            if fixed.dtype == np.float64:
+                rows.append(len(points))
+            return forward(fixed, points)
 
-        monkeypatch.setattr(autodecoder, "_forward_acts", counted)
+        monkeypatch.setattr(_FixedCode, "forward", counted)
         cloud = reconstruct(params, z, grid_resolution=res)
         monkeypatch.undo()
         _, rough = evaluate_on_grid(_screen_field(params, z), res)
@@ -675,6 +785,12 @@ class TestViewSamples:
         n_surface = image.valid_count()
         free_pts = obs.points[n_surface:][::37]
         assert np.all(signed_distances(free_pts, unit_sphere) >= -1e-9)
+
+    def test_step_numbers_equal_the_per_ray_loop(self, rng):
+        cases = [rng.integers(0, 9, size=500), np.array([0, 3, 0, 0, 1, 0]), np.array([7])]
+        for steps in cases:
+            loop = np.concatenate([np.arange(1, s + 1) for s in steps if s > 0])
+            assert np.array_equal(_step_numbers(steps), loop)
 
     def test_thinning_is_deterministic(self, unit_sphere, front_camera):
         image = render_depth(unit_sphere, front_camera)

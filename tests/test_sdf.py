@@ -324,6 +324,12 @@ class TestGrid:
         assert np.allclose(pts[4] - pts[0], [0.0, step, 0.0])
         assert np.allclose(pts[16] - pts[0], [step, 0.0, 0.0])
 
+    @pytest.mark.parametrize("res", [2, 7, 64])
+    def test_points_equal_the_meshgrid_stack(self, res):
+        pts, _ = evaluate_on_grid(lambda p: np.zeros(p.shape[0]), res)
+        gx, gy, gz = np.meshgrid(*[grid_axis(res)] * 3, indexing="ij")
+        assert np.array_equal(pts, np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1))
+
     def test_grid_values_match_field(self, unit_box):
         field = MeshSdf(unit_box)
         pts, vals = evaluate_on_grid(field, 8)
