@@ -42,9 +42,10 @@ LatentCode = np.ndarray
 
 # Decoder evaluation runs in row blocks of at most about this many rows
 # so every layer's activations stay in cache.  Blocks start at multiples
-# of _ROW_ALIGN and hold hundreds of rows, which keeps each row on the
-# BLAS kernel one whole-array call gives it: very small blocks, or
-# blocks that cut a matrix-vector kernel's row group, round differently.
+# of _ROW_ALIGN and hold hundreds of rows.  A row in a whole _ROW_ALIGN
+# group of its block rounds the same in any such block; very small
+# blocks, or blocks that cut a matrix-vector kernel's row group, round
+# differently, so _FixedCode.evaluate pads every block to whole groups.
 _ROW_BLOCK = 1024
 _ROW_ALIGN = 64
 
@@ -208,7 +209,8 @@ class _FixedCode:
 
     A row's value does not depend on the block's size or on the row's
     place in it, as long as the row sits in a whole ``_ROW_ALIGN`` group
-    of the block (see ``_kept_pass``).
+    of the block; ``evaluate`` pads to whole groups, so there a row's
+    value and gradient do not depend on the call.
     """
 
     def __init__(self, params: DecoderParams, z: LatentCode, dtype=np.float64):
@@ -320,7 +322,9 @@ class _FixedCode:
 
     def evaluate(self, points, with_grads: bool = False):
         """Values at ``points`` in ``_row_blocks``, and with ``with_grads``
-        their point gradients from the same pass; (values, grads or None)."""
+        their point gradients from the same pass; (values, grads or None).
+        A block that ends in a partial row group is padded with zero rows
+        to a whole one, whose outputs are dropped."""
         pts = np.atleast_2d(np.asarray(points, dtype=self.dtype))
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise InvalidInputError("points must be (N, 3)")
@@ -328,10 +332,14 @@ class _FixedCode:
         vals = np.empty(n, dtype=self.dtype)
         grads = np.empty((n, 3), dtype=self.dtype) if with_grads else None
         for s, e in _row_blocks(n):
-            acts = self.forward(pts[s:e])
-            vals[s:e] = acts[-1][:, 0]
+            m = e - s
+            block = pts[s:e]
+            if m % _ROW_ALIGN:
+                block = np.concatenate([block, np.zeros((-m % _ROW_ALIGN, 3), self.dtype)])
+            acts = self.forward(block)
+            vals[s:e] = acts[-1][:m, 0]
             if with_grads:
-                grads[s:e] = self.point_grads(acts)
+                grads[s:e] = self.point_grads(acts)[:m]
         return vals, grads
 
 
@@ -582,60 +590,28 @@ def _screen_margin(params: DecoderParams, z: LatentCode) -> float:
 
 
 def _screen_field(params: DecoderParams, z: LatentCode) -> SdfField:
-    """The decoder in float32, for screening grid points.  Rows after a
-    call's last whole ``_ROW_ALIGN`` group come back NaN, which keeps
-    them (see ``_kept_pass``)."""
+    """The decoder in float32, for screening grid points."""
     fixed = _FixedCode(params, z, np.float32)
-
-    def field(points: np.ndarray) -> np.ndarray:
-        out = fixed.evaluate(points)[0]
-        out[out.shape[0] - out.shape[0] % _ROW_ALIGN:] = np.nan
-        return out
-
-    return field
+    return lambda p: fixed.evaluate(p)[0]
 
 
 def _kept_pass(
-    params: DecoderParams, z: LatentCode, tail: int, iso_epsilon: float
+    params: DecoderParams, z: LatentCode, iso_epsilon: float
 ) -> tuple[SdfField, SdfGradient]:
     """``decoder_forward`` on the grid points the screen keeps, and
-    ``decoder_gradient`` on the candidates among them, from one float64
-    forward pass; both equal bit for bit to the whole-grid pass's.
-
-    A row's rounding depends only on where it sits among its block's
-    BLAS row groups.  The whole-grid pass evaluates chunks of
-    ``sdf._GRID_CHUNK`` rows (a multiple of ``_ROW_ALIGN``) in
-    ``_row_blocks``, so every row sits in a whole ``_ROW_ALIGN`` group
-    except the grid's last ``tail`` rows, which end the last block.
-    Here the kept rows before those are padded to whole groups, and the
-    last ``tail`` rows, which the screen always keeps, end the array
-    from an aligned offset just as they end the grid.
-
-    The field keeps each block's point gradients with its values.  The
-    gradient function takes the candidates' rows, those with
-    ``|value| <= iso_epsilon``, and computes the last of
-    ``decoder_gradient``'s row blocks over them again as it does: that
-    block alone may end in a partial row group.
-    """
+    ``decoder_gradient`` on the candidates among them, those with
+    ``|value| <= iso_epsilon``, from one float64 pass.  A row's value and
+    gradient do not depend on the call (see ``_FixedCode.evaluate``), so
+    both equal the whole-grid pass's bit for bit."""
     fixed = _FixedCode(params, z)
     kept: dict[str, np.ndarray] = {}
 
     def field(points: np.ndarray) -> np.ndarray:
-        body = points.shape[0] - tail
-        pad = -body % _ROW_ALIGN
-        vals, grads = fixed.evaluate(
-            np.concatenate([points[:body], np.zeros((pad, 3)), points[body:]]), with_grads=True
-        )
-        padding = slice(body, body + pad)
-        kept["values"] = np.delete(vals, padding)
-        kept["grads"] = np.delete(grads, padding, axis=0)
+        kept["values"], kept["grads"] = fixed.evaluate(points, with_grads=True)
         return kept["values"]
 
     def gradient(cand: np.ndarray) -> np.ndarray:
-        grads = kept["grads"][np.abs(kept["values"]) <= iso_epsilon]
-        s, _ = _row_blocks(cand.shape[0])[-1]
-        grads[s:] = fixed.point_grads(fixed.forward(cand[s:]))
-        return grads
+        return kept["grads"][np.abs(kept["values"]) <= iso_epsilon]
 
     return field, gradient
 
@@ -656,15 +632,11 @@ def reconstruct(
     float64.  The float64 pass runs once per kept point
     (``_kept_pass``): the Newton step's gradients come from the same
     pass's activations, exact because the point backward contracts over
-    the point columns only, and only the candidates in
-    ``decoder_gradient``'s last row block, whose partial row group
-    rounds differently, run forward a second time.  A code of the wrong
-    length raises ``InvalidInputError``.
+    the point columns only.  A code of the wrong length raises
+    ``InvalidInputError``.
     """
     z = np.asarray(z, dtype=np.float64)
-    field, gradient = _kept_pass(
-        params, z, grid_resolution**3 % _ROW_ALIGN, default_iso_epsilon(grid_resolution)
-    )
+    field, gradient = _kept_pass(params, z, default_iso_epsilon(grid_resolution))
     pts = extract_surface_points(
         field,
         grid_resolution,

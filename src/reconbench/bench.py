@@ -83,6 +83,8 @@ class EvalRecord:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidInputError(f"unknown method {self.method!r}")
+        if self.category not in CATEGORIES:
+            raise InvalidInputError(f"unknown category {self.category!r}")
         # chained comparisons are false for nan, so they also reject it
         if not (0 <= self.d_c < np.inf and 0 <= self.d_h < np.inf):
             raise InvalidInputError("d_c and d_h must be finite and non-negative")
@@ -371,33 +373,23 @@ def _infer_and_decode(
     observed: DepthImage, cam: CameraModel, cfg: BenchConfig, decoder_params, decoder_cfg
 ) -> PointCloud:
     """deepsdf on one view: latent inference, then grid decoding."""
+    wide = autodecoder.view_samples_for_inference(
+        observed, cam, value_cap=_INFER_COARSE_DELTA, max_count=cfg.infer_max_samples
+    )
     z = None
     if cfg.infer_coarse_steps > 0:
         # wide-band pass first: with a narrow clamp the loss has
         # no gradient wherever the current field is further than
         # clamp_delta from the observations
-        wide = autodecoder.view_samples_for_inference(
-            observed,
-            cam,
-            value_cap=_INFER_COARSE_DELTA,
-            max_count=cfg.infer_max_samples,
-        )
         coarse_cfg = dataclasses.replace(
             decoder_cfg,
             clamp_delta=_INFER_COARSE_DELTA,
             epochs=cfg.infer_coarse_steps,
         )
         z = autodecoder.infer_latent(decoder_params, wide, coarse_cfg)
-        # the same points and thinning draw with the narrow cap: a value
-        # is its ray gap capped, and clamp_delta < _INFER_COARSE_DELTA
-        obs = SdfSamples(wide.points, np.minimum(wide.sdf, decoder_cfg.clamp_delta))
-    else:
-        obs = autodecoder.view_samples_for_inference(
-            observed,
-            cam,
-            value_cap=decoder_cfg.clamp_delta,
-            max_count=cfg.infer_max_samples,
-        )
+    # the same points and thinning draw with the narrow cap: a value is
+    # its ray gap capped, and clamp_delta < _INFER_COARSE_DELTA
+    obs = SdfSamples(wide.points, np.minimum(wide.sdf, decoder_cfg.clamp_delta))
     z = autodecoder.infer_latent(decoder_params, obs, decoder_cfg, init=z)
     return autodecoder.reconstruct(decoder_params, z, cfg.grid_resolution)
 

@@ -50,6 +50,21 @@ def _header_line(fh, path) -> str:
         raise InvalidInputError(f"non-ASCII byte in the header of {path}") from None
 
 
+def _read_array(fh, shape: tuple[int, ...], dtype: str, path, what: str) -> np.ndarray:
+    """The next array of ``shape`` and ``dtype`` in a binary file.  The
+    declared size is checked against the bytes left before anything is
+    read; a payload the file cannot hold raises InvalidInputError naming
+    the file."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if nbytes > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise InvalidInputError(f"truncated {what} in {path}")
+    try:
+        return np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(shape)
+    except ValueError:
+        # an empty payload whose other dimensions overflow an array's size
+        raise InvalidInputError(f"impossible shape {shape} of {what} in {path}") from None
+
+
 def write_atomic(path, data: bytes) -> None:
     """Replace ``path`` with ``data`` in one rename: readers see the old
     file or the whole new one, and a failed write leaves no file."""
@@ -254,12 +269,8 @@ def load_pfm(path) -> np.ndarray:
             raise InvalidInputError(f"malformed PFM header in {path}")
         w, h = (_header_number(int, d, path) for d in dims)
         scale = _header_number(float, fh.readline().strip(), path)
-        count = w * h
-        raw = fh.read(count * 4)
-        if len(raw) != count * 4:
-            raise InvalidInputError(f"truncated PFM payload in {path}")
-    endianness = "<f4" if scale < 0 else ">f4"
-    data = np.frombuffer(raw, dtype=endianness).reshape(h, w)
+        endianness = "<f4" if scale < 0 else ">f4"
+        data = _read_array(fh, (h, w), endianness, path, "PFM payload")
     return data[::-1].astype(np.float64)
 
 
@@ -351,10 +362,7 @@ def load_samples(path) -> tuple[np.ndarray, np.ndarray, dict]:
                 header[key] = value
         if count is None:
             raise InvalidInputError(f"sample file {path} lacks a count")
-        raw = fh.read(count * 32)
-        if len(raw) != count * 32:
-            raise InvalidInputError(f"truncated sample payload in {path}")
-    data = np.frombuffer(raw, dtype="<f8").reshape(count, 4)
+        data = _read_array(fh, (count, 4), "<f8", path, "sample payload")
     return data[:, :3].copy(), data[:, 3].copy(), header
 
 
@@ -408,9 +416,5 @@ def load_tensors(path, magic: bytes) -> dict[str, np.ndarray]:
             raise InvalidInputError(f"malformed manifest in {path}")
         out: dict[str, np.ndarray] = {}
         for name, dims in shapes:
-            count = int(np.prod(dims)) if dims else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise InvalidInputError(f"truncated tensor {name} in {path}")
-            out[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+            out[name] = _read_array(fh, dims, "<f8", path, f"tensor {name}").copy()
     return out

@@ -50,8 +50,8 @@ _PAIR_BUDGET = 65_536
 # mesh's coordinate scale: the kernel rounds a distance by a few ulps
 # of both, and a triangle that rounding puts nearest must not be dropped
 _BOUND_SLACK = 1e-9
-# grid points per field call in evaluate_on_grid; a multiple of
-# autodecoder._ROW_ALIGN, which keeps the decoder's row groups aligned
+# grid points per field call in evaluate_on_grid; bounds the memory one
+# call's points and outputs take
 _GRID_CHUNK = 65536
 
 # fixed retry directions for the parity test, longest axis first

@@ -537,8 +537,27 @@ class TestBlockedKernels:
             pts, _ = evaluate_on_grid(lambda p: np.zeros(len(p)), int(size[4:]))
         else:
             pts = rng.uniform(-GRID_RADIUS, GRID_RADIUS, size=(size, 3))
-        whole = _FixedCode(params, z).forward(pts)[-1][:, 0]
+        # one call over the points padded to whole row groups
+        padded = np.concatenate([pts, np.zeros((-len(pts) % _ROW_ALIGN, 3))])
+        whole = _FixedCode(params, z).forward(padded)[-1][: len(pts), 0]
         assert np.array_equal(decoder_forward(params, z, pts), whole)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [1, 63, 65, 2049, 4099])
+    def test_a_row_does_not_depend_on_its_call(self, n, dtype, rng):
+        # the same bits alone, in a random subset and permuted
+        params, z = product_decoder()
+        fixed = _FixedCode(params, z, dtype)
+        pts = rng.uniform(-GRID_RADIUS, GRID_RADIUS, size=(n, 3))
+        vals, grads = (a.copy() for a in fixed.evaluate(pts, with_grads=True))
+        for i in np.unique(np.linspace(0, n - 1, 24).astype(int)):
+            alone = fixed.evaluate(pts[i : i + 1], with_grads=True)
+            assert alone[0][0] == vals[i] and np.array_equal(alone[1][0], grads[i])
+        subset = np.sort(rng.choice(n, size=max(1, n // 3), replace=False))
+        for rows in (subset, rng.permutation(n)):
+            got_vals, got_grads = fixed.evaluate(pts[rows], with_grads=True)
+            assert np.array_equal(got_vals, vals[rows])
+            assert np.array_equal(got_grads, grads[rows])
 
     @pytest.mark.parametrize("block", [64, 128, 192, 512, 832, 1024, 2048])
     def test_point_grads_equal_for_every_block_size(self, block, rng):
@@ -708,12 +727,6 @@ class TestScreen:
         monkeypatch.undo()
         assert np.array_equal(cloud.points, unscreened(params, z, 16))
 
-    def test_partial_last_group_comes_back_nan(self):
-        params, z = product_decoder()
-        pts = np.zeros((2 * _ROW_ALIGN + 5, 3))
-        rough = _screen_field(params, z)(pts)
-        assert np.all(np.isnan(rough[-5:])) and np.all(np.isfinite(rough[:-5]))
-
     @pytest.mark.parametrize("res", [16, 32, 64])
     def test_kept_values_equal_the_whole_grid_pass(self, res):
         params = spread_decoder()
@@ -722,13 +735,12 @@ class TestScreen:
         _, rough = evaluate_on_grid(_screen_field(params, z), res)
         kept = np.abs(rough) <= default_iso_epsilon(res) + _screen_margin(params, z)
         assert 0 < kept.sum() < 0.5 * len(pts)
-        values = _kept_pass(params, z, 0, default_iso_epsilon(res))[0](pts[kept])
+        values = _kept_pass(params, z, default_iso_epsilon(res))[0](pts[kept])
         assert np.array_equal(values, exact[kept])
 
     @pytest.mark.parametrize("res", [33, 64])
     def test_one_float64_forward_per_kept_point(self, res, monkeypatch):
-        # at most the kept rows, their padding to a whole row group, and
-        # the candidates of decoder_gradient's last row block once more
+        # at most the kept rows and their padding to a whole row group
         params, z = product_decoder()
         rows = []
         forward = _FixedCode.forward
@@ -746,9 +758,8 @@ class TestScreen:
             ~np.isfinite(rough)
             | (np.abs(rough) <= default_iso_epsilon(res) + _screen_margin(params, z))
         ))
-        start, end = _row_blocks(len(cloud))[-1]
         assert 0 < len(cloud) <= kept < res**3 // 2
-        assert sum(rows) <= kept + _ROW_ALIGN - 1 + (end - start)
+        assert sum(rows) <= kept + _ROW_ALIGN - 1
 
     @pytest.mark.parametrize("res", [5, 7, 9, 16, 32, 33, 64])
     def test_reconstruct_equals_the_unscreened_pass(self, res, rng):

@@ -229,6 +229,8 @@ class TestResults:
         assert good.point_count == 1000
         with pytest.raises(InvalidInputError):
             EvalRecord("voxnet", "mug", "000", 0, 0.1, 0.2, 3.5, 1000)
+        with pytest.raises(InvalidInputError, match="unknown category 'foo'"):
+            EvalRecord("deepsdf", "foo", "000", 0, 0.1, 0.2, 3.5, 1000)
         with pytest.raises(InvalidInputError):
             EvalRecord("deepsdf", "mug", "000", 0, -0.1, 0.2, 3.5, 1000)
         with pytest.raises(InvalidInputError):
@@ -273,6 +275,19 @@ class TestResults:
         path.write_text(f"{RESULTS_HEADER}\nmirror_oracle,mug,000,0,0.1,0.2,3.5,10\n{row}\n")
         with pytest.raises(InvalidInputError, match=row):
             read_results(path)
+
+    def test_report_rejects_an_unknown_category(self, tmp_path, capsys):
+        # a row report() would leave out of every column
+        ws = tmp_path / "ws"
+        ws.mkdir()
+        row = "deepsdf,foo,000,0,0.1,0.2,3.5,1000"
+        (ws / "results.csv").write_text(f"{RESULTS_HEADER}\n{row}\n")
+        with pytest.raises(InvalidInputError, match=row):
+            read_results(ws / "results.csv")
+        assert main(["report", "--out", str(ws)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and row in err
+        assert not (ws / "report.txt").exists()
 
 
 def _toy_records():
@@ -707,6 +722,18 @@ class TestCli:
         (out / "can" / "test" / "000" / "mesh.obj").unlink()
         assert main(["bench-time", "--out", str(out), "--config", str(cfg)]) == 0
         assert "ratio (sdf / mirror):" in capsys.readouterr().out
+
+    def test_oversized_decoder_header_is_an_input_error(self, trained_ws, tmp_path, capsys):
+        ws, cfg = trained_ws
+        out = tmp_path / "ws"
+        shutil.copytree(ws, out)
+        (out / "models" / "decoder.rbsd").write_bytes(
+            b"RBSD1\n1\nw 4611686018427387904\nEND\n" + bytes(64)
+        )
+        argv = ["evaluate", "--methods", "deepsdf", "--out", str(out), "--config", str(cfg)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "decoder.rbsd" in err
 
     def test_non_finite_learning_rate_is_an_input_error(self, tmp_path, capsys):
         cfg = _write_speed_cfg(tmp_path / "speed.cfg")

@@ -20,6 +20,7 @@ from reconbench.geometry import TriangleMesh, camera_looking_at
 from reconbench.shapes import CATEGORIES, build_mesh, icosphere, sample_spec
 
 _PFM_BODY = bytes(16)
+_HUGE = b"4611686018427387904"  # 2**62
 
 
 @pytest.mark.parametrize(
@@ -34,15 +35,43 @@ _PFM_BODY = bytes(16)
         (lambda p: load_tensors(p, DECODER_MAGIC), DECODER_MAGIC + b"\n1\nw\xe9 2\nEND\n"),
         (load_samples, SAMPLES_MAGIC.encode() + b"\ncount x\nEND\n"),
         (load_samples, SAMPLES_MAGIC.encode() + b"\nseed \xff\nEND\n"),
+        # sizes the file cannot hold, checked before any read
+        (load_pfm, b"Pf\n" + _HUGE + b" 1\n-1.0\n" + _PFM_BODY),
+        (load_pfm, b"Pf\n4294967296 4294967296\n-1.0\n" + _PFM_BODY),
+        (load_pfm, b"Pf\n0 " + _HUGE + b"\n-1.0\n"),
+        (lambda p: load_tensors(p, DECODER_MAGIC), DECODER_MAGIC + b"\n1\nw " + _HUGE
+         + b"\nEND\n" + bytes(64)),
+        (lambda p: load_tensors(p, DECODER_MAGIC), DECODER_MAGIC
+         + b"\n1\nw 4294967296 4294967296\nEND\n" + bytes(64)),
+        (lambda p: load_tensors(p, DECODER_MAGIC), DECODER_MAGIC + b"\n1\nw 0 " + _HUGE
+         + b" " + _HUGE + b"\nEND\n"),
+        (load_samples, SAMPLES_MAGIC.encode() + b"\ncount " + _HUGE + b"\nEND\n" + bytes(64)),
     ],
     ids=["pfm-dims", "pfm-scale", "pfm-negative-dims", "tensor-count", "tensor-dim",
-         "tensor-empty-line", "tensor-non-ascii", "sample-count", "sample-non-ascii"],
+         "tensor-empty-line", "tensor-non-ascii", "sample-count", "sample-non-ascii",
+         "pfm-huge", "pfm-product-wraps", "pfm-empty-huge", "tensor-huge",
+         "tensor-product-wraps", "tensor-empty-huge", "sample-huge"],
 )
 def test_malformed_header_names_the_file(tmp_path, load, blob):
     path = tmp_path / "corrupt.bin"
     path.write_bytes(blob)
     with pytest.raises(InvalidInputError, match="corrupt.bin"):
         load(path)
+
+
+@pytest.mark.parametrize("load, blob", [
+    (load_pfm, b"Pf\n2 2\n-1.0\n" + bytes(15)),
+    (lambda p: load_tensors(p, DECODER_MAGIC), DECODER_MAGIC + b"\n1\nw 2 2\nEND\n" + bytes(31)),
+    (load_samples, SAMPLES_MAGIC.encode() + b"\ncount 2\nEND\n" + bytes(63)),
+], ids=["pfm", "tensor", "sample"])
+def test_payload_one_byte_short_is_truncated(tmp_path, load, blob):
+    path = tmp_path / "short.bin"
+    path.write_bytes(blob)
+    with pytest.raises(InvalidInputError, match="truncated .* in .*short.bin"):
+        load(path)
+    # the same header with the whole payload loads
+    path.write_bytes(blob + b"\0")
+    assert load(path) is not None
 
 
 @pytest.mark.parametrize(
