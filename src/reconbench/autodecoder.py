@@ -16,7 +16,12 @@ whose first layer is the code's constant plus a 3-column point product.
 Grid decoding screens the grid in float32 and computes float64 values,
 and the Newton step's gradients from the same pass, only where a proven
 error margin cannot rule a point out, so its output is the all-float64
-one bit for bit (see ``reconstruct``).
+one bit for bit (see ``reconstruct``): there float32 only decides which
+points get float64 values.  Latent inference runs in float32, as the
+reference implementation does; its float32 values are the gradient
+itself, so its code differs from a float64 loop's by rounding (a test
+bounds the distance on the trained benchmark decoder).  Training,
+``decoder_forward`` and ``decoder_gradient`` run in float64.
 """
 from __future__ import annotations
 
@@ -211,6 +216,12 @@ class _FixedCode:
     place in it, as long as the row sits in a whole ``_ROW_ALIGN`` group
     of the block; ``evaluate`` pads to whole groups, so there a row's
     value and gradient do not depend on the call.
+
+    ``decoder_forward``, ``decoder_gradient`` and the kept pass run in
+    float64; the grid screen and latent inference in float32.  Whatever
+    the dtype, the code's constant is formed in float64, and
+    ``code_grad`` returns its sum in ``dtype`` for the caller to
+    accumulate.
     """
 
     def __init__(self, params: DecoderParams, z: LatentCode, dtype=np.float64):
@@ -491,6 +502,14 @@ def infer_latent(
     layer 0's pre-activation and runs on the rows the clamp leaves a
     gradient only, and the code's gradient is the sum of those rows
     times ``W0[:, :L]``, plus the prior's.
+
+    The network runs in float32: points, targets, predictions and
+    residuals, and each block's sum of rows.  The sums add into a
+    float64 total, and the code, its velocity, the prior and
+    ``total @ W0[:, :L]`` stay float64, so the steps accumulate in
+    float64.  The result differs from a float64 loop's by rounding
+    only: on the benchmark's fixture decoder and settings, by at most
+    about 1.5e-7 of the code's norm.
     """
     if len(observation) == 0:
         raise InvalidInputError("cannot infer a code from no samples")
@@ -500,13 +519,13 @@ def infer_latent(
         z = _check_code(params, init).copy()
     vel = np.zeros_like(z)
     code_lr = cfg.code_learning_rate
-    fixed = _FixedCode(params, z)
-    pts = observation.points
+    fixed = _FixedCode(params, z, np.float32)
+    pts = observation.points.astype(np.float32)
     n = pts.shape[0]
     blocks = _row_blocks(n)
     # each block's layer-0 point product serves every step
     firsts = [pts[s:e] @ fixed.point.T for s, e in blocks]
-    target = _clamp(observation.sdf, cfg.clamp_delta)
+    target = _clamp(observation.sdf.astype(np.float32), cfg.clamp_delta)
     for _ in range(cfg.epochs):
         fixed.set_code(z)
         total = np.zeros(params.weights[0].shape[0])

@@ -144,6 +144,8 @@ def generate_dataset(
     categories = list(categories)
     if not categories:
         raise InvalidInputError("need at least one category")
+    if len(set(categories)) < len(categories):
+        raise InvalidInputError(f"a category is named twice: {categories}")
     for cat in categories:
         if cat not in CATEGORIES:
             raise InvalidInputError(f"unknown category {cat!r}")
@@ -204,11 +206,16 @@ def _is_count(value) -> bool:
 
 
 def _is_names(value) -> bool:
-    return isinstance(value, list) and bool(value) and all(isinstance(v, str) for v in value)
+    return (
+        isinstance(value, list)
+        and bool(value)
+        and all(isinstance(v, str) for v in value)
+        and len(set(value)) == len(value)
+    )
 
 
 # the fields the pipeline reads from each JSON file: check and description
-_MANIFEST_FIELDS = {"categories": (_is_names, "a non-empty list of strings")}
+_MANIFEST_FIELDS = {"categories": (_is_names, "a non-empty list of distinct strings")}
 _META_FIELDS = {
     "category": (lambda v: isinstance(v, str), "a string"),
     "seed_entropy": (

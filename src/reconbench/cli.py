@@ -101,7 +101,10 @@ def _load_cfg(args) -> BenchConfig:
 
 def _categories(args, cfg_default=None) -> list[str]:
     if getattr(args, "categories", None):
-        return _split_list(args.categories)
+        names = _split_list(args.categories)
+        if len(set(names)) < len(names):
+            raise InvalidInputError(f"--categories names a category twice: {args.categories}")
+        return names
     if cfg_default is not None:
         return list(cfg_default)
     return list(CATEGORIES)

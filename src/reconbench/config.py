@@ -67,6 +67,14 @@ class BenchConfig:
     # timing benchmark
     bench_repetitions: int = 5
 
+    def __post_init__(self):
+        # the decode grid needs two points per axis; checked here so a
+        # bad value fails before any latent inference runs
+        if self.grid_resolution < 2:
+            raise InvalidInputError(
+                f"grid_resolution must be at least 2, got {self.grid_resolution}"
+            )
+
     def sampling_config(self, seed: int) -> SamplingConfig:
         return SamplingConfig(total_count=self.sdf_total_count, seed=seed)
 

@@ -294,15 +294,20 @@ def sample_training_set(mesh: TriangleMesh, cfg: SamplingConfig) -> SdfSamples:
 # iso-surface extraction
 
 
-def grid_axis(resolution: int, radius: float = GRID_RADIUS) -> np.ndarray:
+def _check_resolution(resolution: int) -> None:
     if resolution < 2:
-        raise InvalidInputError("resolution must be at least 2")
+        raise InvalidInputError(f"grid resolution must be at least 2, got {resolution}")
+
+
+def grid_axis(resolution: int, radius: float = GRID_RADIUS) -> np.ndarray:
+    _check_resolution(resolution)
     return np.linspace(-radius, radius, resolution)
 
 
 def default_iso_epsilon(resolution: int, radius: float = GRID_RADIUS) -> float:
     """Twice the nominal cell size; a band wide enough to catch the
     surface between grid planes."""
+    _check_resolution(resolution)
     return 2.0 * (2.0 * radius / resolution)
 
 

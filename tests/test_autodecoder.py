@@ -1,11 +1,12 @@
 """Latent-code decoder: forward math, gradients, training, inference,
 and persistence."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reconbench import autodecoder
+from reconbench import autodecoder, bench
 from reconbench.autodecoder import (
     _ROW_ALIGN,
     _ROW_BLOCK,
@@ -34,9 +35,12 @@ from reconbench.autodecoder import (
     train_autodecoder,
     view_samples_for_inference,
 )
+from reconbench.config import load_config
 from reconbench.depth import render_depth
 from reconbench.errors import InvalidInputError
+from reconbench.fileio import load_obj
 from reconbench.geometry import TAG_GENERATED
+from reconbench.metrics import chamfer_hausdorff, voxel_downsample
 from reconbench.sdf import (
     GRID_RADIUS,
     SamplingConfig,
@@ -440,6 +444,14 @@ class TestReconstruct:
         assert len(cloud) == 8**3
         assert cloud.count(TAG_GENERATED) == len(cloud)
 
+    @pytest.mark.parametrize("res", [0, 1])
+    def test_grid_below_two_points_per_axis_rejected(self, res):
+        params = init_decoder(tiny_config())
+        with pytest.raises(InvalidInputError, match="at least 2"):
+            reconstruct(params, np.zeros(4), grid_resolution=res)
+        with pytest.raises(InvalidInputError, match="at least 2"):
+            default_iso_epsilon(res)
+
 
 def product_decoder() -> tuple[DecoderParams, np.ndarray]:
     """A decoder of the benchmark's size (latent 16, hidden 64x3)."""
@@ -469,33 +481,40 @@ def infer_latent_full_backward(params, observation, cfg) -> np.ndarray:
     return z
 
 
-def frozen_split_inference(params, observation, cfg, init=None) -> np.ndarray:
+def frozen_split_inference(params, observation, cfg, init=None, dtype=np.float32) -> np.ndarray:
     """Latent inference on the split layer 0 as first written: broadcast
     bias adds, every row of every row block carried back to layer 0's
-    pre-activation, and ``gz = (sum of those rows) @ W0[:, :L]``."""
+    pre-activation, and ``gz = (sum of those rows) @ W0[:, :L]``.
+
+    The network runs in ``dtype``: points, weights, targets and
+    residuals, with the code's constant formed in float64 and rounded
+    once.  The rows' sums, ``z`` and the velocity stay float64."""
     latent = params.latent_dim
     w0 = params.weights[0]
-    point = np.ascontiguousarray(w0[:, latent:])
+    point = np.ascontiguousarray(w0[:, latent:], dtype=dtype)
+    weights = [w.astype(dtype) for w in params.weights[1:]]
+    biases = [b.astype(dtype) for b in params.biases[1:]]
+    points = observation.points.astype(dtype)
     z = np.zeros(latent) if init is None else np.array(init, dtype=np.float64)
     vel = np.zeros_like(z)
     code_lr = cfg.code_learning_rate
     n = len(observation)
-    target = np.clip(observation.sdf, -cfg.clamp_delta, cfg.clamp_delta)
+    target = np.clip(observation.sdf.astype(dtype), -cfg.clamp_delta, cfg.clamp_delta)
     for _ in range(cfg.epochs):
         total = np.zeros(w0.shape[0])
-        constant = w0[:, :latent] @ z + params.biases[0]
+        constant = (w0[:, :latent] @ z + params.biases[0]).astype(dtype)
         for s, e in _row_blocks(n):
-            acts = [np.tanh(observation.points[s:e] @ point.T + constant)]
-            for w, b in zip(params.weights[1:-1], params.biases[1:-1]):
+            acts = [np.tanh(points[s:e] @ point.T + constant)]
+            for w, b in zip(weights[:-1], biases[:-1]):
                 acts.append(np.tanh(acts[-1] @ w.T + b))
-            pred = (acts[-1] @ params.weights[-1].T + params.biases[-1])[:, 0]
+            pred = (acts[-1] @ weights[-1].T + biases[-1])[:, 0]
             r = np.clip(pred, -cfg.clamp_delta, cfg.clamp_delta) - target[s:e]
             grad = (np.sign(r) * (np.abs(pred) < cfg.clamp_delta) / n)[:, None]
-            grad = grad * params.weights[-1]
+            grad = grad * weights[-1]
             for i in range(len(acts) - 1, -1, -1):
                 grad = grad * (1.0 - acts[i] ** 2)
                 if i > 0:
-                    grad = grad @ params.weights[i]
+                    grad = grad @ weights[i - 1]
             total += grad.sum(axis=0)
         gz = total @ w0[:, :latent] + 2.0 * cfg.code_prior_weight * z
         vel = cfg.momentum * vel - code_lr * gz
@@ -593,7 +612,12 @@ class TestBlockedKernels:
         z = infer_latent(params, obs, cfg)
         assert np.any(z != 0.0)
         assert np.array_equal(z, frozen_split_inference(params, obs, cfg))
-        np.testing.assert_allclose(z, infer_latent_full_backward(params, obs, cfg), rtol=1e-12)
+        # the float64 reference loop, to rounding
+        np.testing.assert_allclose(
+            frozen_split_inference(params, obs, cfg, dtype=np.float64),
+            infer_latent_full_backward(params, obs, cfg),
+            rtol=1e-12,
+        )
 
     def test_dead_rows_only_move_the_code_by_the_prior(self, rng):
         # no prediction lies inside a clamp band this narrow
@@ -607,15 +631,26 @@ class TestBlockedKernels:
         assert np.array_equal(z, frozen_split_inference(params, obs, cfg, init=code))
 
     @pytest.mark.parametrize("row", [0, 150, 299])
-    def test_one_live_row_equals_all_rows(self, row, rng):
-        # every other target equals its prediction, so its residual is 0
+    def test_one_live_row_equals_all_rows(self, row, rng, monkeypatch):
+        # every other target equals its float32 prediction in the same
+        # unpadded 300-row block, so its residual is 0
         params, code = product_decoder()
         pts = rng.uniform(-1.0, 1.0, size=(300, 3))
         cfg = TrainConfig(epochs=1, code_learning_rate=0.05, clamp_delta=1.0)
-        target = decoder_forward(params, code, pts)
+        fixed = _FixedCode(params, code, np.float32)
+        target = fixed.forward(pts.astype(np.float32))[-1][:, 0].astype(np.float64)
         target[row] += 0.05
         obs = SdfSamples(pts, target)
+        live = []
+        code_grad = _FixedCode.code_grad
+
+        def counted(self, acts, dpred):
+            live.append(np.flatnonzero(dpred).tolist())
+            return code_grad(self, acts, dpred)
+
+        monkeypatch.setattr(_FixedCode, "code_grad", counted)
         z = infer_latent(params, obs, cfg, init=code)
+        assert live == [[row]]
         assert np.array_equal(z, frozen_split_inference(params, obs, cfg, init=code))
         prior_only = code - cfg.code_learning_rate * (2.0 * cfg.code_prior_weight * code)
         assert not np.array_equal(z, prior_only)
@@ -646,6 +681,57 @@ class TestBlockedKernels:
         assert np.max(np.abs(exact - central)) <= 1e-8
         cloud = reconstruct(params, z, grid_resolution=32)
         assert np.array_equal(cloud.points, exact)
+
+
+# the trained decoder the benchmark's evaluate workload decodes with
+FIXTURE_DECODER = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "decoder.rbsd"
+
+
+class TestFloat32Inference:
+    def test_tracks_the_float64_loop_on_the_trained_fixture(self, tmp_path, monkeypatch):
+        # the benchmark's inference settings on rendered 64 px test views:
+        # 20 coarse and 40 fine steps on at most 1000 samples
+        params, _ = autodecoder.load_decoder(FIXTURE_DECODER)
+        cfg = load_config(overrides=dict(
+            infer_steps=40, infer_coarse_steps=20, infer_max_samples=1000,
+            views_per_test_instance=2, grid_resolution=32, gt_surface_samples=3000,
+        ))
+        bench.generate_dataset(tmp_path, ["laptop", "mug", "jar"], 0, 1, 0, cfg)
+        decoder_cfg = cfg.decoder_config(0, epochs=cfg.infer_steps)
+        codes: list[np.ndarray] = []
+
+        def recorded(infer):
+            def run(params, observation, cfg, init=None):
+                codes.append(infer(params, observation, cfg, init=init))
+                return codes[-1]
+            return run
+
+        def float64_loop(params, observation, cfg, init=None):
+            return frozen_split_inference(params, observation, cfg, init, dtype=np.float64)
+
+        for inst_dir in sorted(tmp_path.glob("*/test/000")):
+            mesh = load_obj(inst_dir / "mesh.obj")
+            gt = voxel_downsample(
+                bench._ground_truth_cloud(mesh, bench._load_meta(inst_dir), cfg),
+                bench._EVAL_DOWNSAMPLE_VOXEL,
+            )
+            for view in range(cfg.views_per_test_instance):
+                observed, cam = bench.load_view(inst_dir, view)
+                clouds, d_c = [], []
+                for infer in (infer_latent, float64_loop):
+                    monkeypatch.setattr(autodecoder, "infer_latent", recorded(infer))
+                    clouds.append(
+                        bench._infer_and_decode(observed, cam, cfg, params, decoder_cfg)
+                    )
+                    pred = voxel_downsample(clouds[-1], bench._EVAL_DOWNSAMPLE_VOXEL)
+                    d_c.append(chamfer_hausdorff(pred, gt)[0])
+                # coarse then fine code, float32 then float64
+                z32, z64 = codes[-3], codes[-1]
+                assert np.linalg.norm(z32 - z64) <= 1e-6 * np.linalg.norm(z64)
+                assert len(clouds[0]) == len(clouds[1]) > 0
+                assert np.max(np.abs(clouds[0].points - clouds[1].points)) <= 1e-6
+                assert abs(d_c[0] - d_c[1]) <= 1e-6 * d_c[1]
+        assert len(codes) == 2 * 2 * 6
 
 
 def scaled_decoder(seed: int, factor: float) -> DecoderParams:

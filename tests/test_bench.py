@@ -214,6 +214,18 @@ class TestDatasetGeneration:
         with pytest.raises(InvalidInputError):
             generate_dataset(tmp_path, [], 1, 1, 0, _tiny_cfg())
 
+    def test_repeated_category_rejected(self, tmp_path):
+        # one directory would be written twice and counted as two
+        with pytest.raises(InvalidInputError, match="named twice"):
+            generate_dataset(tmp_path, ["mug", "mug"], 1, 0, 0, _tiny_cfg())
+        assert not (tmp_path / "dataset.json").exists()
+
+    def test_manifest_with_a_repeated_category_rejected(self, tmp_path):
+        generate_dataset(tmp_path, ["mug"], 0, 1, 0, _tiny_cfg())
+        (tmp_path / "dataset.json").write_text('{"categories": ["mug", "mug"]}')
+        with pytest.raises(InvalidInputError, match="distinct strings"):
+            read_manifest(tmp_path)
+
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(MissingArtifactError):
             read_manifest(tmp_path)
@@ -376,6 +388,12 @@ class TestConfig:
     def test_zero_count_is_accepted(self):
         # zero coarse steps is how the coarse inference pass is turned off
         assert load_config(overrides={"infer_coarse_steps": 0}).infer_coarse_steps == 0
+
+    @pytest.mark.parametrize("res", [0, 1])
+    def test_grid_resolution_below_two_rejected(self, res):
+        with pytest.raises(InvalidInputError, match="grid_resolution must be at least 2"):
+            load_config(overrides={"grid_resolution": res})
+        assert load_config(overrides={"grid_resolution": 2}).grid_resolution == 2
 
     def test_overrides_take_precedence(self, tmp_path):
         path = tmp_path / "bench.cfg"
@@ -909,6 +927,31 @@ class TestCli:
             assert main([stage, "--out", out, "--config", str(bad)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error:") and "must be positive" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "bench-time"])
+    def test_grid_resolution_below_two_is_an_input_error(
+        self, trained_ws, tmp_path, capsys, command
+    ):
+        # rejected when the config loads, before any latent inference
+        ws, cfg = trained_ws
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(cfg.read_text() + "grid_resolution = 0\n")
+        argv = [command] + (["--methods", "deepsdf"] if command == "evaluate" else [])
+        assert main(argv + ["--out", str(ws), "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "grid_resolution" in err
+
+    def test_repeated_category_is_an_input_error(self, trained_ws, tmp_path, capsys):
+        ws, cfg = trained_ws
+        base = ["--out", str(tmp_path / "ws"), "--config", str(cfg)]
+        gen = ["gen-data", "--categories", "mug,mug", "--train-count", "1"]
+        assert main(gen + base) == 1
+        assert not (tmp_path / "ws").exists()
+        argv = ["evaluate", "--categories", "can,can", "--methods", "mirror_oracle",
+                "--out", str(ws), "--config", str(cfg)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "twice" in err
 
     def test_evaluate_rejects_unknown_method(self, tmp_path, capsys):
         cfg = str(_write_speed_cfg(tmp_path / "speed.cfg"))
