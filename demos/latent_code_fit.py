@@ -24,7 +24,7 @@ from reconbench.autodecoder import (
 )
 from reconbench.depth import render_depth
 from reconbench.geometry import PointCloud, camera_looking_at
-from reconbench.metrics import chamfer
+from reconbench.metrics import chamfer_hausdorff
 from reconbench.sdf import SamplingConfig, sample_training_set
 from reconbench.shapes import icosphere
 
@@ -64,8 +64,9 @@ def main() -> None:
     seconds = time.perf_counter() - start
     g = np.random.default_rng(0).normal(size=(5000, 3))
     truth = PointCloud.from_points(HELD_OUT * g / np.linalg.norm(g, axis=1)[:, None])
+    d_c, _ = chamfer_hausdorff(cloud, truth)
     print(f"reconstructed {len(cloud)} points in {seconds:.2f}s, "
-          f"chamfer to the true sphere {chamfer(cloud, truth):.4f}")
+          f"chamfer to the true sphere {d_c:.4f}")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import numpy as np
 
 from reconbench.depth import render_depth
 from reconbench.geometry import PointCloud, camera_looking_at
-from reconbench.metrics import hausdorff
+from reconbench.metrics import chamfer_hausdorff
 from reconbench.mirror import (
     MirrorTrainConfig,
     make_training_pair,
@@ -44,8 +44,9 @@ def main() -> None:
         truth = PointCloud.from_points(mesh.sample_surface(8000, np.random.default_rng(3)))
         distance = np.linalg.norm(cam.position)
         blind = np.degrees(np.pi - 2 * np.arccos(radius / distance))
+        _, d_h = chamfer_hausdorff(fused, truth)
         print(f"oracle fusion, radius {radius}: {len(fused)} points in "
-              f"{seconds * 1000:.0f} ms, hausdorff {hausdorff(fused, truth):.4f} "
+              f"{seconds * 1000:.0f} ms, hausdorff {d_h:.4f} "
               f"(unobserved band spans {blind:.0f} deg)")
 
     start = time.perf_counter()

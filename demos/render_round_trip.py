@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from reconbench.depth import back_project, render_depth, splat_cloud
-from reconbench.fileio import save_pfm, save_ply
+from reconbench.fileio import save_pfm
 from reconbench.geometry import camera_looking_at
 from reconbench.shapes import icosphere
 
@@ -40,8 +40,7 @@ def main() -> None:
     print(f"splat of the cloud reproduces the image within {gap:.2e}")
 
     save_pfm(args.out / "sphere_depth.pfm", image.depth)
-    save_ply(args.out / "sphere_front.ply", cloud)
-    print(f"wrote {args.out / 'sphere_depth.pfm'} and {args.out / 'sphere_front.ply'}")
+    print(f"wrote {args.out / 'sphere_depth.pfm'}")
 
 
 if __name__ == "__main__":

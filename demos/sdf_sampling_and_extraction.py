@@ -10,10 +10,10 @@ import numpy as np
 from reconbench.geometry import PointCloud
 from reconbench.metrics import chamfer_hausdorff
 from reconbench.sdf import (
-    MeshSdf,
     SamplingConfig,
     extract_surface_points,
     sample_training_set,
+    signed_distances,
 )
 from reconbench.shapes import CATEGORIES, build_mesh, sample_spec
 
@@ -27,7 +27,7 @@ def main() -> None:
         print(f"{category:8s} {len(mesh):5d} triangles, "
               f"{near.mean() * 100:4.1f}% of samples within 0.05 of the surface")
 
-        recovered = extract_surface_points(MeshSdf(mesh), resolution=48)
+        recovered = extract_surface_points(lambda p: signed_distances(p, mesh), 48)
         truth = PointCloud.from_points(mesh.sample_surface(5000, np.random.default_rng(2)))
         d_c, d_h = chamfer_hausdorff(recovered, truth)
         print(f"{'':8s} grid-48 surface: {len(recovered)} points, "

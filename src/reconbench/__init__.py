@@ -30,7 +30,7 @@ from .autodecoder import (
 from .config import BenchConfig, load_config
 from .depth import DepthImage, back_project, render_depth, splat_cloud
 from .errors import ConfigurationError, InvalidInputError, MissingArtifactError
-from .fileio import load_obj, load_pfm, save_obj, save_pfm, save_ply
+from .fileio import load_obj, load_pfm, save_obj, save_pfm
 from .geometry import (
     TAG_GENERATED,
     TAG_OBSERVED,
@@ -38,19 +38,13 @@ from .geometry import (
     PointCloud,
     RigidTransform,
     TriangleMesh,
-    apply_transform,
     camera_looking_at,
-    compose,
-    inverse,
     normalize_to_unit_sphere,
-    transform_points,
 )
 from .metrics import (
     KdTree,
     VoxelFilterConfig,
-    chamfer,
     chamfer_hausdorff,
-    hausdorff,
     nearest_distances,
     voxel_downsample,
     voxel_filter,
@@ -73,7 +67,6 @@ from .sdf import (
     SdfSamples,
     extract_surface_points,
     sample_training_set,
-    signed_distance,
     signed_distances,
 )
 from .shapes import CATEGORIES, ShapeSpec, build_mesh, icosphere, sample_spec

@@ -62,6 +62,9 @@ _ROW_ALIGN = 64
 # float32 terms of the screen's margin.
 _TANH_ERR = {np.float32: 2.0**-22, np.float64: 2.0**-40}
 
+# standard deviation of the Gaussian draws that start each training code
+_CODE_INIT_SIGMA = 0.01
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -84,7 +87,6 @@ class TrainConfig:
     # per-epoch step-size multiplier; the L1-style objective keeps its
     # gradient magnitude near the optimum, so decay settles the end state
     lr_decay: float = 1.0
-    code_init_sigma: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
@@ -426,7 +428,7 @@ def train_autodecoder(
     rng = np.random.default_rng(cfg.seed)
     params = init_decoder(cfg, rng)
     n_obj = len(samples_per_object)
-    codes = rng.normal(0.0, cfg.code_init_sigma, size=(n_obj, cfg.latent_dim))
+    codes = rng.normal(0.0, _CODE_INIT_SIGMA, size=(n_obj, cfg.latent_dim))
 
     points = np.concatenate([s.points for s in samples_per_object])
     target = np.concatenate([s.sdf for s in samples_per_object])
@@ -679,16 +681,16 @@ def view_samples_for_inference(
     cam: CameraModel,
     spacing: float = 0.05,
     value_cap: float = 0.1,
-    ball_radius: float = GRID_RADIUS,
     max_count: int = 20_000,
     seed: int = 0,
 ) -> SdfSamples:
     """Turn one depth image into SDF supervision for latent inference.
 
     Back-projected surface points contribute zeros.  Along each pixel
-    ray, points between where the ray enters the reconstruction ball
-    and the observed surface are free space: they get a positive value,
-    the distance to the surface along the ray, capped at ``value_cap``.
+    ray, points between where the ray enters the ball of radius
+    ``GRID_RADIUS`` and the observed surface are free space: they get a
+    positive value, the distance to the surface along the ray, capped
+    at ``value_cap``.
     Nothing behind the surface is sampled since a single view says
     nothing about it.  Oversized sets are thinned by a seeded choice.
     """
@@ -705,7 +707,7 @@ def view_samples_for_inference(
     # ray parameter where each ray enters the sampling ball
     oo = float(origin @ origin)
     b = dirs @ origin
-    disc = b * b - (oo - ball_radius * ball_radius)
+    disc = b * b - (oo - GRID_RADIUS * GRID_RADIUS)
     disc = np.maximum(disc, 0.0)
     t_enter = np.maximum(-b - np.sqrt(disc), 0.0)
 

@@ -41,7 +41,13 @@ from .fileio import (
 )
 from .geometry import CameraModel, PointCloud, camera_looking_at, normalize_to_unit_sphere
 from .metrics import VoxelFilterConfig, chamfer_hausdorff, voxel_downsample, voxel_filter
-from .sdf import SdfSamples, sample_training_set
+from .sdf import (
+    GRID_RADIUS,
+    NEAR_SURFACE_FRACTION,
+    SURFACE_NOISE_SIGMA,
+    SdfSamples,
+    sample_training_set,
+)
 from .shapes import CATEGORIES, ShapeSpec, build_mesh, sample_spec
 
 METHODS = ("mirror_oracle", "mirror_learned", "deepsdf")
@@ -289,13 +295,15 @@ def _instance_samples(inst_dir: Path, cfg: BenchConfig) -> SdfSamples:
         _rng_for(meta["seed_entropy"], _SEED_SDF).integers(0, 2**63 - 1)
     )
     scfg = cfg.sampling_config(sample_seed)
-    # string values, as load_samples returns them
+    # string values, as load_samples returns them; the fixed sampling
+    # values stay in the header, so a cache written under other values
+    # is regenerated
     header = {
         "seed": str(sample_seed),
         "total_count": str(scfg.total_count),
-        "near_surface_fraction": repr(scfg.near_surface_fraction),
-        "surface_noise_sigma": repr(scfg.surface_noise_sigma),
-        "ball_radius": repr(scfg.ball_radius),
+        "near_surface_fraction": repr(NEAR_SURFACE_FRACTION),
+        "surface_noise_sigma": repr(SURFACE_NOISE_SIGMA),
+        "ball_radius": repr(GRID_RADIUS),
     }
     cache = inst_dir / "sdf_samples.bin"
     if cache.exists():

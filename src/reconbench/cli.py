@@ -99,15 +99,26 @@ def _load_cfg(args) -> BenchConfig:
     return load_config(args.config)
 
 
-def _categories(args, cfg_default=None) -> list[str]:
-    if getattr(args, "categories", None):
-        names = _split_list(args.categories)
-        if len(set(names)) < len(names):
-            raise InvalidInputError(f"--categories names a category twice: {args.categories}")
-        return names
-    if cfg_default is not None:
-        return list(cfg_default)
-    return list(CATEGORIES)
+def _categories(args, default=CATEGORIES) -> list[str]:
+    """The ``--categories`` names, or ``default`` when the flag is absent.
+
+    A name that is no category, or a list naming none or one twice, is
+    an input error; a category the dataset lacks is the stage's to find.
+    """
+    if args.categories is None:
+        return list(default)
+    names = _split_list(args.categories)
+    if not names:
+        raise InvalidInputError("--categories must name at least one category")
+    if len(set(names)) < len(names):
+        raise InvalidInputError(f"--categories names a category twice: {args.categories}")
+    for name in names:
+        if name not in CATEGORIES:
+            raise InvalidInputError(
+                f"unknown category {name!r} in --categories; "
+                f"choose from {','.join(CATEGORIES)}"
+            )
+    return names
 
 
 def _cmd_gen_data(args) -> int:

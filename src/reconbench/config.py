@@ -8,8 +8,8 @@ stored twice.
 Config files are plain ``key = value`` text (# starts a comment).
 Values are parsed according to the field's default type; integer lists
 such as hidden layer widths are comma separated.  Negative integers,
-non-finite floats (``nan``, ``inf``) and unknown keys are rejected so
-mistakes fail loudly.
+non-finite floats (``nan``, ``inf``), unknown keys and a key set twice
+in one file are rejected so mistakes fail loudly.
 """
 from __future__ import annotations
 
@@ -25,6 +25,16 @@ from .sdf import SamplingConfig
 
 # heavy-ball momentum of decoder training and latent inference
 _DECODER_MOMENTUM = 0.9
+
+# counts that zero would only reject once a stage has started work
+_AT_LEAST_ONE = (
+    "sdf_total_count", "gt_surface_samples", "infer_max_samples", "bench_repetitions"
+)
+# the keys decoder_config feeds whose values TrainConfig can reject
+_DECODER_KEYS = (
+    "latent_dim, decoder_hidden, decoder_learning_rate, code_learning_rate or "
+    "decoder_lr_decay"
+)
 
 
 @dataclass(frozen=True)
@@ -68,12 +78,23 @@ class BenchConfig:
     bench_repetitions: int = 5
 
     def __post_init__(self):
-        # the decode grid needs two points per axis; checked here so a
-        # bad value fails before any latent inference runs
-        if self.grid_resolution < 2:
+        # every check runs when the config loads, so a bad value fails
+        # before any stage starts work
+        if self.grid_resolution < 2:  # two decode grid points per axis
             raise InvalidInputError(
                 f"grid_resolution must be at least 2, got {self.grid_resolution}"
             )
+        for key in _AT_LEAST_ONE:
+            if getattr(self, key) < 1:
+                raise InvalidInputError(f"{key} must be at least 1, got {getattr(self, key)}")
+        for keys, build in (
+            (_DECODER_KEYS, self.decoder_config),
+            ("mirror_channels", self.mirror_config),
+        ):
+            try:
+                build(0)
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"bad {keys}: {exc}") from exc
 
     def sampling_config(self, seed: int) -> SamplingConfig:
         return SamplingConfig(total_count=self.sdf_total_count, seed=seed)
@@ -115,8 +136,12 @@ def _parse_value(raw: str, default):
 
 
 def load_config(path=None, overrides: dict | None = None) -> BenchConfig:
-    """Build a config from defaults, an optional file, and overrides."""
+    """Build a config from defaults, an optional file, and overrides.
+
+    A key may appear once per file; an override replaces the file's value.
+    """
     values: dict = {}
+    seen: dict = {}
     if path is not None:
         path = Path(path)
         if not path.exists():
@@ -130,7 +155,13 @@ def load_config(path=None, overrides: dict | None = None) -> BenchConfig:
                     f"{path}:{lineno}: expected key = value, got {line!r}"
                 )
             key, _, raw = stripped.partition("=")
-            values[key.strip()] = raw
+            key = key.strip()
+            if key in seen:
+                raise InvalidInputError(
+                    f"{path}:{lineno}: {key!r} is already set on line {seen[key]}"
+                )
+            seen[key] = lineno
+            values[key] = raw
     if overrides:
         values.update({k: str(v) for k, v in overrides.items()})
 

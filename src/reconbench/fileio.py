@@ -1,4 +1,4 @@
-"""On-disk formats: OBJ/PLY meshes, PFM depth images with camera
+"""On-disk formats: OBJ meshes, PFM depth images with camera
 sidecars, binary signed-distance sample sets, and versioned parameter
 containers for the two reconstruction models.
 
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError, MissingArtifactError
-from .geometry import CameraModel, PointCloud, RigidTransform, TriangleMesh
+from .geometry import CameraModel, RigidTransform, TriangleMesh
 
 DECODER_MAGIC = b"RBSD1"
 MIRROR_MAGIC = b"RBMR1"
@@ -217,22 +217,6 @@ def save_obj(path, mesh: TriangleMesh) -> None:
     for t in mesh.triangles:
         lines.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}")
     write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
-
-
-def save_ply(path, cloud: PointCloud) -> None:
-    """Write an ASCII PLY point cloud with x y z properties."""
-    path = Path(path)
-    n = len(cloud)
-    header = (
-        "ply\nformat ascii 1.0\n"
-        f"element vertex {n}\n"
-        "property float x\nproperty float y\nproperty float z\n"
-        "end_header\n"
-    )
-    body = "".join(
-        f"{_fr(p[0])} {_fr(p[1])} {_fr(p[2])}\n" for p in cloud.points
-    )
-    write_atomic(path, (header + body).encode("ascii"))
 
 
 # ---------------------------------------------------------------------------

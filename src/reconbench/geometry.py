@@ -5,8 +5,9 @@ Conventions, fixed once for the whole package:
 * Points are float64 arrays of shape (3,), batches are (N, 3).
 * Meshes are vertex/triangle index pairs, triangles wound arbitrarily
   (nothing downstream relies on consistent winding).
-* RigidTransform maps camera/local coordinates to world coordinates as
-  ``x_world = R @ x_local + t``.
+* RigidTransform is a camera pose: it maps camera coordinates to world
+  coordinates as ``x_world = R @ x_cam + t``.  Nothing else moves
+  geometry rigidly, so the package has no transform algebra.
 * Cameras use the pinhole model with x right, y down, z forward in the
   camera frame.  Pixel (u, v) covers [u, u+1) x [v, v+1); its center has
   image coordinates (u + 0.5, v + 0.5).
@@ -205,54 +206,6 @@ class RigidTransform:
             raise InvalidInputError("rotation is not orthonormal")
         if abs(np.linalg.det(self.rotation) - 1.0) > max(tol, 1e-9):
             raise InvalidInputError("rotation determinant is not +1")
-
-
-def reorthonormalize(rotation: np.ndarray) -> np.ndarray:
-    """Project a near-rotation onto SO(3) via SVD."""
-    u, _, vt = np.linalg.svd(rotation)
-    r = u @ vt
-    if np.linalg.det(r) < 0:
-        u = u.copy()
-        u[:, -1] = -u[:, -1]
-        r = u @ vt
-    return r
-
-
-def apply_transform(transform: RigidTransform, point) -> np.ndarray:
-    """Map a single point from local into world coordinates."""
-    p = np.asarray(point, dtype=np.float64)
-    if p.shape != (3,):
-        raise InvalidInputError(f"point must have shape (3,), got {p.shape}")
-    return transform.rotation @ p + transform.translation
-
-
-def transform_points(transform: RigidTransform, points) -> np.ndarray:
-    """Batch variant of apply_transform for (N, 3) arrays."""
-    pts = as_points(points)
-    return pts @ transform.rotation.T + transform.translation
-
-
-def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    """Transform equal to applying b first, then a.
-
-    Re-orthonormalizes when accumulated drift exceeds the tolerance, so
-    long chains stay valid rotations.
-    """
-    r = a.rotation @ b.rotation
-    t = a.rotation @ b.translation + a.translation
-    out = RigidTransform(r, t)
-    if out.orthonormality_error() > ORTHONORMAL_TOL:
-        out = RigidTransform(reorthonormalize(r), t)
-    return out
-
-
-def inverse(transform: RigidTransform) -> RigidTransform:
-    r = transform.rotation.T
-    return RigidTransform(r, -(r @ transform.translation))
-
-
-def transform_mesh(transform: RigidTransform, mesh: TriangleMesh) -> TriangleMesh:
-    return TriangleMesh(transform_points(transform, mesh.vertices), mesh.triangles)
 
 
 def normalize_to_unit_sphere(

@@ -333,25 +333,17 @@ def nearest_distances(queries, reference) -> np.ndarray:
 
 
 def chamfer_hausdorff(cloud_a, cloud_b) -> tuple[float, float]:
-    """Both symmetric metrics from one pair of nearest-neighbor passes."""
+    """``(d_c, d_h)``, both symmetric, from one pair of nearest-neighbor passes.
+
+    Chamfer ``d_c`` averages the two directed mean nearest-neighbor
+    distances, unsquared, in the clouds' units; Hausdorff ``d_h`` is the
+    worst nearest-neighbor gap in either direction.
+    """
     d_ab = nearest_distances(cloud_a, cloud_b)
     d_ba = nearest_distances(cloud_b, cloud_a)
     d_c = 0.5 * (float(d_ab.mean()) + float(d_ba.mean()))
     d_h = max(float(d_ab.max()), float(d_ba.max()))
     return d_c, d_h
-
-
-def chamfer(cloud_a, cloud_b) -> float:
-    """Symmetric mean nearest-neighbor distance, in the clouds' units.
-
-    Average of the two directed means, unsquared.
-    """
-    return chamfer_hausdorff(cloud_a, cloud_b)[0]
-
-
-def hausdorff(cloud_a, cloud_b) -> float:
-    """Symmetric Hausdorff distance: worst nearest-neighbor gap."""
-    return chamfer_hausdorff(cloud_a, cloud_b)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,10 @@ crosses the surface an odd number of times.  Rays that graze an edge
 or vertex are retried along a different direction.
 
 An "SDF field" in this package is any callable mapping an (N, 3) array
-of points to an (N,) array of signed distances.
+of points to an (N,) array of signed distances; a mesh's field is
+``lambda p: signed_distances(p, mesh)``.  ``GRID_RADIUS`` is the
+half-width of the decode grid's cube and the radius of the ball that
+training samples and inference's free-space samples fill.
 """
 from __future__ import annotations
 
@@ -40,6 +43,10 @@ SdfField = Callable[[np.ndarray], np.ndarray]
 SdfGradient = Callable[[np.ndarray], np.ndarray]
 
 GRID_RADIUS = 1.1
+# the share of training samples drawn near the surface, and the sigma
+# of the Gaussian noise that moves them off it
+NEAR_SURFACE_FRACTION = 0.9
+SURFACE_NOISE_SIGMA = 0.02
 GRADIENT_STEP = 1e-4
 GRADIENT_MIN_NORM = 1e-8
 
@@ -201,22 +208,6 @@ def signed_distances(points, mesh: TriangleMesh) -> np.ndarray:
     return sign * dist
 
 
-def signed_distance(point, mesh: TriangleMesh) -> float:
-    return float(signed_distances(np.asarray(point, dtype=np.float64)[None, :], mesh)[0])
-
-
-class MeshSdf:
-    """Adapter making a mesh usable wherever an SDF field is expected."""
-
-    def __init__(self, mesh: TriangleMesh):
-        if len(mesh) == 0:
-            raise InvalidInputError("mesh has no triangles")
-        self.mesh = mesh
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return signed_distances(points, self.mesh)
-
-
 # ---------------------------------------------------------------------------
 # training-set generation
 
@@ -226,18 +217,11 @@ class SamplingConfig:
     """Controls for drawing SDF training samples around one object."""
 
     total_count: int = 50_000
-    near_surface_fraction: float = 0.9
-    surface_noise_sigma: float = 0.02
-    ball_radius: float = GRID_RADIUS
     seed: int = 0
 
     def __post_init__(self):
         if self.total_count < 0:
             raise InvalidInputError("total_count must be non-negative")
-        if not 0.0 <= self.near_surface_fraction <= 1.0:
-            raise InvalidInputError("near_surface_fraction must lie in [0, 1]")
-        if self.surface_noise_sigma < 0:
-            raise InvalidInputError("surface_noise_sigma must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -266,25 +250,26 @@ class SdfSamples:
 def sample_training_set(mesh: TriangleMesh, cfg: SamplingConfig) -> SdfSamples:
     """Draw SDF supervision samples around a mesh in its canonical frame.
 
-    A near-surface share of the budget is surface points perturbed by
-    isotropic Gaussian noise; the rest is uniform in a ball of
-    ``ball_radius``.  Every sample stores the exact signed distance.
+    A ``NEAR_SURFACE_FRACTION`` share of the budget is surface points
+    perturbed by isotropic Gaussian noise of ``SURFACE_NOISE_SIGMA``;
+    the rest is uniform in the ball of radius ``GRID_RADIUS``.  Every
+    sample stores the exact signed distance.
     The output is deterministic given the config (the seed lives there).
     """
     if cfg.total_count == 0:
         return SdfSamples.empty()
     rng = np.random.default_rng(cfg.seed)
-    n_near = int(round(cfg.total_count * cfg.near_surface_fraction))
+    n_near = int(round(cfg.total_count * NEAR_SURFACE_FRACTION))
     n_far = cfg.total_count - n_near
     parts = []
     if n_near:
         surface = mesh.sample_surface(n_near, rng)
-        noise = rng.normal(0.0, cfg.surface_noise_sigma, size=(n_near, 3))
+        noise = rng.normal(0.0, SURFACE_NOISE_SIGMA, size=(n_near, 3))
         parts.append(surface + noise)
     if n_far:
         dirs = rng.normal(size=(n_far, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = cfg.ball_radius * np.cbrt(rng.random(n_far))
+        radii = GRID_RADIUS * np.cbrt(rng.random(n_far))
         parts.append(dirs * radii[:, None])
     pts = np.concatenate(parts) if parts else np.zeros((0, 3))
     return SdfSamples(pts, signed_distances(pts, mesh))
@@ -299,27 +284,27 @@ def _check_resolution(resolution: int) -> None:
         raise InvalidInputError(f"grid resolution must be at least 2, got {resolution}")
 
 
-def grid_axis(resolution: int, radius: float = GRID_RADIUS) -> np.ndarray:
+def grid_axis(resolution: int) -> np.ndarray:
+    """Coordinates of the decode grid along each axis, spanning
+    [-GRID_RADIUS, GRID_RADIUS]."""
     _check_resolution(resolution)
-    return np.linspace(-radius, radius, resolution)
+    return np.linspace(-GRID_RADIUS, GRID_RADIUS, resolution)
 
 
-def default_iso_epsilon(resolution: int, radius: float = GRID_RADIUS) -> float:
+def default_iso_epsilon(resolution: int) -> float:
     """Twice the nominal cell size; a band wide enough to catch the
     surface between grid planes."""
     _check_resolution(resolution)
-    return 2.0 * (2.0 * radius / resolution)
+    return 2.0 * (2.0 * GRID_RADIUS / resolution)
 
 
-def evaluate_on_grid(
-    sdf_fn: SdfField, resolution: int, radius: float = GRID_RADIUS
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate a field on the regular grid; returns (points, values).
+def evaluate_on_grid(sdf_fn: SdfField, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate a field on the decode grid; returns (points, values).
 
     Points are ordered lexicographically by (ix, iy, iz), which fixes
     the output order of everything built on top.
     """
-    axis = grid_axis(resolution, radius)
+    axis = grid_axis(resolution)
     pts = np.empty((resolution, resolution, resolution, 3))
     pts[..., 0] = axis[:, None, None]
     pts[..., 1] = axis[:, None]

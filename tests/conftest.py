@@ -64,3 +64,19 @@ def front_camera():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240917)
+
+
+def _random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """QR of a Gaussian matrix, column signs fixed so the result has
+    det +1."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+@pytest.fixture(scope="session")
+def random_rotation():
+    """Draws a proper 3D rotation from a generator."""
+    return _random_rotation

@@ -8,6 +8,7 @@ import pytest
 
 from reconbench import autodecoder, bench
 from reconbench.autodecoder import (
+    _CODE_INIT_SIGMA,
     _ROW_ALIGN,
     _ROW_BLOCK,
     _TANH_ERR,
@@ -265,7 +266,7 @@ def frozen_train_autodecoder(samples_per_object, cfg):
     rng = np.random.default_rng(cfg.seed)
     params = init_decoder(cfg, rng)
     n_obj = len(samples_per_object)
-    codes = rng.normal(0.0, cfg.code_init_sigma, size=(n_obj, cfg.latent_dim))
+    codes = rng.normal(0.0, _CODE_INIT_SIGMA, size=(n_obj, cfg.latent_dim))
     points = np.concatenate([s.points for s in samples_per_object])
     target = np.concatenate([s.sdf for s in samples_per_object])
     owner = np.concatenate(
@@ -370,7 +371,7 @@ class TestTraining:
         result = train_autodecoder([sphere_samples, sphere_samples], cfg)
         rng = np.random.default_rng(cfg.seed)
         init_decoder(cfg, rng)
-        init_codes = rng.normal(0.0, cfg.code_init_sigma, size=(2, cfg.latent_dim))
+        init_codes = rng.normal(0.0, _CODE_INIT_SIGMA, size=(2, cfg.latent_dim))
         baseline = np.linalg.norm(init_codes[0] - init_codes[1])
         final = np.linalg.norm(result.codes[0] - result.codes[1])
         # identical supervision must not drive the codes apart

@@ -34,7 +34,7 @@ from reconbench.errors import InvalidInputError, MissingArtifactError
 from reconbench.fileio import load_obj, load_pfm
 from reconbench.metrics import VoxelFilterConfig
 from reconbench.mirror import load_mirror_model
-from reconbench.sdf import GRID_RADIUS
+from reconbench.sdf import GRID_RADIUS, NEAR_SURFACE_FRACTION, SURFACE_NOISE_SIGMA
 from reconbench.shapes import (
     CATEGORIES,
     build_mesh,
@@ -55,6 +55,7 @@ class TestShapes:
             spec = sample_spec(category, np.random.default_rng(seed))
             mesh = build_mesh(spec)
             mesh.validate()
+            assert mesh.is_watertight()
 
     @pytest.mark.parametrize("category", CATEGORIES)
     def test_params_respect_documented_ranges(self, category):
@@ -395,6 +396,26 @@ class TestConfig:
             load_config(overrides={"grid_resolution": res})
         assert load_config(overrides={"grid_resolution": 2}).grid_resolution == 2
 
+    @pytest.mark.parametrize(
+        "key, raw",
+        [
+            ("mirror_channels", "8,0,1"),
+            ("decoder_hidden", ","),
+            ("latent_dim", "0"),
+            ("decoder_learning_rate", "-0.001"),
+            ("code_learning_rate", "0.0"),
+            ("decoder_lr_decay", "1.5"),
+            ("sdf_total_count", "0"),
+            ("gt_surface_samples", "0"),
+            ("infer_max_samples", "0"),
+            ("bench_repetitions", "0"),
+        ],
+    )
+    def test_value_a_stage_rejects_fails_at_load(self, key, raw):
+        # each of these used to fail only once a stage had started work
+        with pytest.raises(InvalidInputError, match=key):
+            load_config(overrides={key: raw})
+
     def test_overrides_take_precedence(self, tmp_path):
         path = tmp_path / "bench.cfg"
         path.write_text("latent_dim = 8\n")
@@ -445,9 +466,9 @@ class TestConfig:
         assert mir.learning_rate == 0.01
         assert mir.momentum == 0.9
         assert mir.lr_decay == 1.0
-        assert samp.near_surface_fraction == 0.9
-        assert samp.surface_noise_sigma == 0.02
-        assert samp.ball_radius == GRID_RADIUS
+        assert NEAR_SURFACE_FRACTION == 0.9
+        assert SURFACE_NOISE_SIGMA == 0.02
+        assert GRID_RADIUS == 1.1
         cam = ring_camera(np.random.default_rng(0), cfg)
         assert cam.fy == pytest.approx(cfg.image_height / 2 / np.tan(np.deg2rad(30.0)))
         assert bench._EVAL_FILTER == VoxelFilterConfig(voxel_size=0.1, min_points_per_voxel=2)
@@ -615,6 +636,19 @@ def _write_speed_cfg(path: Path) -> Path:
         "bench_repetitions = 1\n"
     )
     return path
+
+
+def _edited_cfg(cfg: Path, dest: Path, **values) -> Path:
+    """A copy of the config file ``cfg`` at ``dest`` whose lines for the
+    keys in ``values`` carry those values instead (a file sets a key
+    once)."""
+    kept = [
+        line for line in cfg.read_text().splitlines()
+        if line.partition("=")[0].strip() not in values
+    ]
+    kept += [f"{key} = {value}" for key, value in values.items()]
+    dest.write_text("\n".join(kept) + "\n")
+    return dest
 
 
 @pytest.fixture(scope="module")
@@ -883,9 +917,11 @@ class TestCli:
         from reconbench import bench, mirror
         from reconbench.depth import render_depth
 
-        cfg_path = _write_speed_cfg(tmp_path / "speed.cfg")
-        cfg_path.write_text(
-            cfg_path.read_text() + "views_per_train_instance = 2\nmirror_channels = 4, 1\n"
+        cfg_path = _edited_cfg(
+            _write_speed_cfg(tmp_path / "speed.cfg"),
+            tmp_path / "pairs.cfg",
+            views_per_train_instance=2,
+            mirror_channels="4, 1",
         )
         out = tmp_path / "ws"
         base = ["--out", str(out), "--config", str(cfg_path), "--seed", "5"]
@@ -922,8 +958,7 @@ class TestCli:
             ("mirror_channels", "8, -1, 1", "train-mirror"),
             ("decoder_hidden", "64, 0", "train-sdf"),
         ):
-            bad = tmp_path / "bad.cfg"
-            bad.write_text(cfg.read_text() + f"{key} = {value}\n")
+            bad = _edited_cfg(cfg, tmp_path / "bad.cfg", **{key: value})
             assert main([stage, "--out", out, "--config", str(bad)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error:") and "must be positive" in err
@@ -934,12 +969,56 @@ class TestCli:
     ):
         # rejected when the config loads, before any latent inference
         ws, cfg = trained_ws
-        bad = tmp_path / "bad.cfg"
-        bad.write_text(cfg.read_text() + "grid_resolution = 0\n")
+        bad = _edited_cfg(cfg, tmp_path / "bad.cfg", grid_resolution=0)
         argv = [command] + (["--methods", "deepsdf"] if command == "evaluate" else [])
         assert main(argv + ["--out", str(ws), "--config", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "grid_resolution" in err
+
+    @pytest.mark.parametrize("command", ["train-sdf", "evaluate", "bench-time"])
+    def test_bad_model_or_count_value_fails_at_load(self, trained_ws, tmp_path, capsys, command):
+        ws, cfg = trained_ws
+        decoder = ws / "models" / "decoder.rbsd"
+        before = decoder.stat().st_mtime_ns
+        for key, value in (
+            ("mirror_channels", "8, 0, 1"),
+            ("latent_dim", "0"),
+            ("gt_surface_samples", "0"),
+            ("bench_repetitions", "0"),
+        ):
+            bad = _edited_cfg(cfg, tmp_path / "bad.cfg", **{key: value})
+            assert main([command, "--out", str(ws), "--config", str(bad)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and key in err
+        assert decoder.stat().st_mtime_ns == before
+
+    def test_key_set_twice_is_an_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("image_width = 32\n# narrower\nimage_width = 16\n")
+        out = tmp_path / "ws"
+        assert main(["gen-data", "--out", str(out), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {cfg}:3: 'image_width' is already set on line 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train-sdf", "train-mirror", "evaluate"])
+    @pytest.mark.parametrize("names", ["foo", "can,foo", ",", ""])
+    def test_categories_naming_no_category_is_an_input_error(
+        self, trained_ws, capsys, command, names
+    ):
+        ws, cfg = trained_ws
+        argv = [command, "--categories", names, "--out", str(ws), "--config", str(cfg)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--categories" in err
+
+    def test_category_missing_from_the_dataset_is_a_missing_artifact(self, trained_ws, capsys):
+        # mug is a category, but this dataset holds only cans
+        ws, cfg = trained_ws
+        argv = ["evaluate", "--categories", "mug", "--methods", "mirror_oracle",
+                "--out", str(ws), "--config", str(cfg)]
+        assert main(argv) == 2
+        assert "dataset misses" in capsys.readouterr().err
 
     def test_repeated_category_is_an_input_error(self, trained_ws, tmp_path, capsys):
         ws, cfg = trained_ws

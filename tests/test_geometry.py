@@ -1,42 +1,33 @@
-"""Meshes, rigid transforms, cameras, and their file formats."""
+"""Meshes, camera poses, cameras, and their file formats."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from reconbench.errors import InvalidInputError
-from reconbench.fileio import load_obj, save_obj, save_ply
+from reconbench.fileio import load_obj, save_obj
 from reconbench.geometry import (
     TAG_GENERATED,
     TAG_OBSERVED,
     CameraModel,
     PointCloud,
     RigidTransform,
-    apply_transform,
+    TriangleMesh,
     as_points,
     camera_looking_at,
-    compose,
-    inverse,
     look_at_rotation,
     merge_clouds,
     normalize_to_unit_sphere,
-    reorthonormalize,
-    transform_mesh,
-    transform_points,
 )
 from reconbench.shapes import box_mesh, icosphere
 
 
-def random_rotation(rng) -> np.ndarray:
-    return reorthonormalize(rng.normal(size=(3, 3)))
-
-
-finite_points = arrays(
-    np.float64,
-    st.tuples(st.integers(1, 20), st.just(3)),
-    elements=st.floats(-10, 10, allow_nan=False, allow_infinity=False),
-)
+@pytest.fixture
+def moved_sphere(rng, random_rotation) -> TriangleMesh:
+    """An icosphere under a random rotation and a translation of a few
+    units."""
+    mesh = icosphere(2)
+    rotation = random_rotation(rng)
+    vertices = mesh.vertices @ rotation.T + 5.0 * rng.normal(size=3)
+    return TriangleMesh(vertices, mesh.triangles)
 
 
 class TestPointCloud:
@@ -77,13 +68,9 @@ class TestMesh:
         with pytest.raises(InvalidInputError):
             mesh.validate()
 
-    def test_bounding_sphere_contains_vertices(self, rng):
-        mesh = transform_mesh(
-            RigidTransform(random_rotation(rng), rng.normal(size=3)),
-            icosphere(2),
-        )
-        center, radius = mesh.bounding_sphere()
-        dist = np.linalg.norm(mesh.vertices - center, axis=1)
+    def test_bounding_sphere_contains_vertices(self, moved_sphere):
+        center, radius = moved_sphere.bounding_sphere()
+        dist = np.linalg.norm(moved_sphere.vertices - center, axis=1)
         assert np.all(dist <= radius + 1e-12)
 
     def test_surface_samples_lie_on_box(self, unit_box, rng):
@@ -105,72 +92,23 @@ class TestNormalize:
         corner = normed.vertices[np.argmin(normed.vertices.sum(axis=1))]
         assert np.allclose(corner, -0.5773502691896258)
 
-    def test_idempotent(self, rng):
-        mesh = transform_mesh(
-            RigidTransform(random_rotation(rng), rng.normal(size=3) * 5),
-            icosphere(2),
-        )
-        once, _, _ = normalize_to_unit_sphere(mesh)
+    def test_idempotent(self, moved_sphere):
+        once, _, _ = normalize_to_unit_sphere(moved_sphere)
         twice, scale2, center2 = normalize_to_unit_sphere(once)
         assert np.allclose(twice.vertices, once.vertices, atol=1e-9)
         assert np.isclose(scale2, 1.0, atol=1e-9)
         assert np.allclose(center2, 0.0, atol=1e-9)
 
-    def test_round_trip_restores_vertices(self, rng):
-        mesh = transform_mesh(
-            RigidTransform(random_rotation(rng), rng.normal(size=3) * 5),
-            icosphere(2),
-        )
-        normed, scale, center = normalize_to_unit_sphere(mesh)
+    def test_round_trip_restores_vertices(self, moved_sphere):
+        normed, scale, center = normalize_to_unit_sphere(moved_sphere)
         restored = normed.vertices / scale + center
-        assert np.allclose(restored, mesh.vertices, atol=1e-9)
+        assert np.allclose(restored, moved_sphere.vertices, atol=1e-9)
 
 
 class TestRigidTransform:
     def test_validate_rejects_scaling(self):
         with pytest.raises(InvalidInputError):
             RigidTransform(np.eye(3) * 2.0, np.zeros(3)).validate()
-
-    def test_inverse_round_trip(self, rng):
-        t = RigidTransform(random_rotation(rng), rng.normal(size=3))
-        pts = rng.normal(size=(50, 3))
-        back = transform_points(inverse(t), transform_points(t, pts))
-        assert np.allclose(back, pts, atol=1e-12)
-
-    def test_long_compose_chain_stays_orthonormal(self, rng):
-        total = RigidTransform.identity()
-        for _ in range(1000):
-            step = RigidTransform(random_rotation(rng), rng.normal(size=3))
-            total = compose(total, step)
-        assert total.orthonormality_error() <= 1e-9
-
-    def test_compose_matches_sequential_application(self, rng):
-        a = RigidTransform(random_rotation(rng), rng.normal(size=3))
-        b = RigidTransform(random_rotation(rng), rng.normal(size=3))
-        p = rng.normal(size=3)
-        assert np.allclose(
-            apply_transform(compose(a, b), p),
-            apply_transform(a, apply_transform(b, p)),
-            atol=1e-12,
-        )
-
-    @settings(deadline=None, max_examples=50)
-    @given(pts=finite_points, seed=st.integers(0, 2**32 - 1))
-    def test_transforms_preserve_distances(self, pts, seed):
-        rng = np.random.default_rng(seed)
-        t = RigidTransform(random_rotation(rng), rng.normal(size=3))
-        moved = transform_points(t, pts)
-        d_before = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
-        d_after = np.linalg.norm(moved[:, None] - moved[None, :], axis=-1)
-        assert np.allclose(d_before, d_after, atol=1e-8)
-
-    @settings(deadline=None, max_examples=50)
-    @given(pts=finite_points, seed=st.integers(0, 2**32 - 1))
-    def test_inverse_is_identity(self, pts, seed):
-        rng = np.random.default_rng(seed)
-        t = RigidTransform(random_rotation(rng), rng.normal(size=3))
-        back = transform_points(inverse(t), transform_points(t, pts))
-        assert np.allclose(back, pts, atol=1e-8)
 
 
 class TestLookAt:
@@ -228,16 +166,12 @@ class TestLookAt:
 
 
 class TestMeshFiles:
-    def test_obj_round_trip_exact(self, tmp_path, rng):
-        mesh = transform_mesh(
-            RigidTransform(random_rotation(rng), rng.normal(size=3)),
-            icosphere(2),
-        )
-        path = tmp_path / "mesh.obj"
-        save_obj(path, mesh)
+    def test_obj_round_trip_exact(self, tmp_path, moved_sphere):
+        path = tmp_path / "moved_sphere.obj"
+        save_obj(path, moved_sphere)
         loaded = load_obj(path)
-        assert np.array_equal(loaded.vertices, mesh.vertices)
-        assert np.array_equal(loaded.triangles, mesh.triangles)
+        assert np.array_equal(loaded.vertices, moved_sphere.vertices)
+        assert np.array_equal(loaded.triangles, moved_sphere.triangles)
 
     def test_obj_quad_fan_triangulation(self, tmp_path):
         path = tmp_path / "quad.obj"
@@ -260,12 +194,3 @@ class TestMeshFiles:
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n")
         with pytest.raises(InvalidInputError):
             load_obj(path)
-
-    def test_ply_header_and_rows(self, tmp_path):
-        cloud = PointCloud.from_points([[0.0, 0.5, -1.0], [1.25, 2.0, 3.0]])
-        path = tmp_path / "cloud.ply"
-        save_ply(path, cloud)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "ply"
-        assert "element vertex 2" in lines
-        assert lines[-1].split() == ["1.25", "2.0", "3.0"]

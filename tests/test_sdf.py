@@ -14,7 +14,6 @@ from reconbench.errors import InvalidInputError
 from reconbench.geometry import TriangleMesh
 from reconbench.sdf import (
     GRID_RADIUS,
-    MeshSdf,
     SamplingConfig,
     SdfSamples,
     default_iso_epsilon,
@@ -24,7 +23,6 @@ from reconbench.sdf import (
     inside_mask,
     numeric_gradient,
     sample_training_set,
-    signed_distance,
     signed_distances,
     unsigned_distances,
 )
@@ -217,9 +215,8 @@ class TestPrunedPass:
 class TestSignedDistance:
     def test_exact_at_axis_vertex(self, unit_sphere):
         # the subdivided icosahedron owns a vertex exactly at (1,0,0)
-        assert signed_distance((1.5, 0.0, 0.0), unit_sphere) == pytest.approx(
-            0.5, abs=1e-12
-        )
+        got = signed_distances([[1.5, 0.0, 0.0]], unit_sphere)
+        assert got[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_center_depth_equals_inradius(self, unit_sphere):
         # independent oracle: the inradius is the smallest distance from
@@ -228,9 +225,8 @@ class TestSignedDistance:
         n = np.cross(b - a, c - a)
         n /= np.linalg.norm(n, axis=1, keepdims=True)
         inradius = np.min(np.abs(np.einsum("ij,ij->i", n, a)))
-        assert signed_distance((0.0, 0.0, 0.0), unit_sphere) == pytest.approx(
-            -inradius, abs=1e-12
-        )
+        got = signed_distances([[0.0, 0.0, 0.0]], unit_sphere)
+        assert got[0] == pytest.approx(-inradius, abs=1e-12)
 
     def test_box_matches_analytic_everywhere(self, unit_box, rng):
         pts = rng.uniform(-1.0, 1.0, size=(300, 3))
@@ -259,10 +255,6 @@ class TestSignedDistance:
         pts = unit_sphere.vertices[:40] * 0.5
         assert inside_mask(pts, unit_sphere).all()
 
-    def test_mesh_sdf_adapter(self, unit_box, rng):
-        pts = rng.uniform(-1.0, 1.0, size=(50, 3))
-        assert np.array_equal(MeshSdf(unit_box)(pts), signed_distances(pts, unit_box))
-
 
 class TestSampling:
     def test_deterministic(self, unit_sphere):
@@ -278,7 +270,7 @@ class TestSampling:
         assert not np.array_equal(a.points, b.points)
 
     def test_counts_and_split(self, unit_sphere):
-        cfg = SamplingConfig(total_count=1000, near_surface_fraction=0.9, seed=3)
+        cfg = SamplingConfig(total_count=1000, seed=3)
         s = sample_training_set(unit_sphere, cfg)
         assert len(s) == 1000
         # the uniform tail stays inside the sampling ball while the
@@ -286,17 +278,11 @@ class TestSampling:
         radii = np.linalg.norm(s.points, axis=1)
         near = radii[:900]
         assert np.all(np.abs(near - 1.0) <= 0.02 * 6)
-        assert np.all(radii[900:] <= cfg.ball_radius + 1e-12)
+        assert np.all(radii[900:] <= GRID_RADIUS + 1e-12)
 
     def test_zero_count(self, unit_sphere):
         s = sample_training_set(unit_sphere, SamplingConfig(total_count=0))
         assert len(s) == 0
-
-    def test_all_far_fraction(self, unit_sphere):
-        cfg = SamplingConfig(total_count=200, near_surface_fraction=0.0, seed=5)
-        s = sample_training_set(unit_sphere, cfg)
-        assert len(s) == 200
-        assert np.all(np.linalg.norm(s.points, axis=1) <= cfg.ball_radius + 1e-12)
 
     def test_values_are_exact_signed_distances(self, unit_sphere):
         cfg = SamplingConfig(total_count=100, seed=9)
@@ -310,16 +296,16 @@ class TestSampling:
 
 class TestGrid:
     def test_axis_spans_radius(self):
-        ax = grid_axis(5, radius=1.1)
+        ax = grid_axis(5)
         assert np.allclose(ax, [-1.1, -0.55, 0.0, 0.55, 1.1])
 
     def test_default_band_width(self):
         assert default_iso_epsilon(64) == pytest.approx(2.0 * 2.2 / 64)
 
     def test_grid_order_z_fastest(self):
-        pts, _ = evaluate_on_grid(lambda p: np.zeros(p.shape[0]), 4, radius=1.0)
+        pts, _ = evaluate_on_grid(lambda p: np.zeros(p.shape[0]), 4)
         assert pts.shape == (64, 3)
-        step = 2.0 / 3.0
+        step = 2.0 * GRID_RADIUS / 3.0
         assert np.allclose(pts[1] - pts[0], [0.0, 0.0, step])
         assert np.allclose(pts[4] - pts[0], [0.0, step, 0.0])
         assert np.allclose(pts[16] - pts[0], [step, 0.0, 0.0])
@@ -331,9 +317,8 @@ class TestGrid:
         assert np.array_equal(pts, np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1))
 
     def test_grid_values_match_field(self, unit_box):
-        field = MeshSdf(unit_box)
-        pts, vals = evaluate_on_grid(field, 8)
-        assert np.array_equal(vals, field(pts))
+        pts, vals = evaluate_on_grid(lambda p: signed_distances(p, unit_box), 8)
+        assert np.array_equal(vals, signed_distances(pts, unit_box))
 
     def test_numeric_gradient_of_linear_field(self):
         n = np.array([0.6, -0.8, 0.0])
@@ -432,7 +417,7 @@ class TestExtraction:
         assert len(seen[0]) < 0.6 * len(grid)
 
     def test_mesh_field_end_to_end(self, unit_sphere):
-        pts = extract_surface_points(MeshSdf(unit_sphere), 32)
+        pts = extract_surface_points(lambda p: signed_distances(p, unit_sphere), 32)
         d = unsigned_distances(pts, unit_sphere)
         # one Newton step from a band two cells wide lands on the surface
         assert np.quantile(d, 0.99) <= 5e-3
