@@ -25,7 +25,8 @@ TAG_OBSERVED = "observed"
 TAG_GENERATED = "generated"
 _VALID_TAGS = (TAG_OBSERVED, TAG_GENERATED)
 
-ORTHONORMAL_TOL = 1e-9
+# largest orthonormality and determinant error a camera's rotation may carry
+ORTHONORMAL_TOL = 1e-6
 DEGENERATE_AREA = 1e-12
 UP_FALLBACK_TOL = 1e-6
 
@@ -201,10 +202,10 @@ class RigidTransform:
         r = self.rotation
         return float(np.abs(r.T @ r - np.eye(3)).max())
 
-    def validate(self, tol: float = ORTHONORMAL_TOL) -> None:
-        if self.orthonormality_error() > tol:
+    def validate(self) -> None:
+        if self.orthonormality_error() > ORTHONORMAL_TOL:
             raise InvalidInputError("rotation is not orthonormal")
-        if abs(np.linalg.det(self.rotation) - 1.0) > max(tol, 1e-9):
+        if abs(np.linalg.det(self.rotation) - 1.0) > ORTHONORMAL_TOL:
             raise InvalidInputError("rotation determinant is not +1")
 
 
@@ -278,7 +279,7 @@ class CameraModel:
             raise InvalidInputError("focal lengths must be positive")
         if self.width <= 0 or self.height <= 0:
             raise InvalidInputError("image dimensions must be positive")
-        self.pose.validate(1e-6)
+        self.pose.validate()
 
     @property
     def position(self) -> np.ndarray:

@@ -13,7 +13,8 @@ from reconbench.geometry import (
     TAG_OBSERVED,
     camera_looking_at,
 )
-from reconbench import mirror
+from reconbench import bench, mirror
+from reconbench.config import load_config
 from reconbench.mirror import (
     KERNEL,
     PAD,
@@ -27,7 +28,6 @@ from reconbench.mirror import (
     load_mirror_model,
     load_training_pairs,
     make_training_pair,
-    masked_l1_loss,
     mirror_forward,
     mirror_pose,
     oracle_completion,
@@ -89,6 +89,18 @@ def _einsum_col2im(dcols, shape):
     return dxp[:, :, PAD : PAD + h, PAD : PAD + w]
 
 
+def masked_l1_loss(outputs: np.ndarray, targets: np.ndarray):
+    """Mean absolute error over target-valid pixels and its gradient
+    with respect to ``outputs``: the loss the training kernel forms
+    inline."""
+    mask = targets > 0.0
+    count = int(mask.sum())
+    if count == 0:
+        raise InvalidInputError("no valid pixels in any target")
+    diff = (outputs - targets) * mask
+    return float(np.abs(diff).sum() / count), np.sign(diff) / count
+
+
 def einsum_loss_gradients(params, inputs, targets):
     """Loss and gradients through per-image einsum products: a copy of
     the kernels the batched matrix products replaced."""
@@ -138,6 +150,19 @@ def batch_forward(params, x):
         if i < last:
             x = np.maximum(x, 0.0)
     return x[:, 0]
+
+
+def float64_steps(monkeypatch) -> None:
+    """Make ``train_mirror_model`` step through the float64 kernel: the
+    training loss and gradients get float64 copies of its float32 batch
+    and fresh float64 buffers."""
+    kernel = mirror.training_loss_gradients
+    monkeypatch.setattr(
+        mirror, "training_loss_gradients",
+        lambda params, inputs, targets, buffers: kernel(
+            params, inputs.astype(np.float64), targets.astype(np.float64)
+        ),
+    )
 
 
 def odd_batch(rng, n=5, h=7, w=13):
@@ -292,18 +317,38 @@ class TestConvolution:
         assert out[0, 0] == 4.0
 
 
+def output_gradients(outputs, targets):
+    """Training loss of a network whose output is ``outputs``, and the
+    loss's gradient with respect to each output pixel.
+
+    The one-layer network passes channel 0 through its centre tap;
+    channel 1 is one at a single pixel and zero elsewhere, so the
+    gradient of its (zero) centre tap is that pixel's output gradient.
+    """
+    w = np.zeros((1, 2, KERNEL, KERNEL))
+    w[0, 0, PAD, PAD] = 1.0
+    params = MirrorModelParams((w,), (np.zeros(1),))
+    dout = np.empty(outputs.shape)
+    for pixel in np.ndindex(outputs.shape):
+        inputs = np.stack([outputs, np.zeros(outputs.shape)], axis=1)
+        inputs[pixel[0], 1][pixel[1:]] = 1.0
+        loss, gw, _ = training_loss_gradients(params, inputs, targets)
+        dout[pixel] = gw[0][0, 1, PAD, PAD]
+    return loss, dout
+
+
 class TestLossAndGradients:
     def test_masked_l1_ignores_invalid_target_pixels(self):
         out = np.array([[[1.0, 5.0], [2.0, 7.0]]])
         target = np.array([[[2.0, 0.0], [1.0, 0.0]]])
-        loss, dout = masked_l1_loss(out, target)
+        loss, dout = output_gradients(out, target)
         assert loss == pytest.approx(1.0)
         assert dout[0, 0, 1] == 0.0 and dout[0, 1, 1] == 0.0
         assert dout[0, 0, 0] == pytest.approx(-0.5)
 
     def test_all_invalid_target_rejected(self):
         with pytest.raises(InvalidInputError):
-            masked_l1_loss(np.ones((1, 2, 2)), np.zeros((1, 2, 2)))
+            training_loss_gradients(tiny_net(), np.ones((1, 2, 2, 2)), np.zeros((1, 2, 2)))
 
     def test_parameter_gradients_match_finite_differences(self):
         assert self.finite_difference_checks((3, 1)) >= 20
@@ -343,17 +388,21 @@ class TestLossAndGradients:
     def test_peak_memory_below_one_batch_column_array(self):
         # batch-wide columns of one 8-channel layer over six 64 x 64
         # images took 72 rows x 24,576 pixels x 8 B = 14.2 MB; one step
-        # over twelve such images must peak below that in all
+        # over twelve such images must peak below that in all.  A float32
+        # step peaks at half a float64 one, 4.2 MB against 8.1 MB: one
+        # whose buffers or columns fell back to float64 would pass 7 MB
         rng = np.random.default_rng(12)
-        inputs, targets = odd_batch(rng, n=12, h=64, w=64)
+        batch = odd_batch(rng, n=12, h=64, w=64)
         params = tiny_net(channels=(8, 8, 1), seed=0)
-        tracemalloc.start()
-        try:
-            training_loss_gradients(params, inputs, targets)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 14e6
+        for dtype, bound in ((np.float64, 14e6), (np.float32, 7e6)):
+            inputs, targets = (a.astype(dtype) for a in batch)
+            tracemalloc.start()
+            try:
+                training_loss_gradients(params, inputs, targets)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, dtype
 
     @staticmethod
     def finite_difference_checks(channels) -> int:
@@ -484,6 +533,9 @@ class TestTraining:
             assert decayed.epoch_losses[-1] < 0.1 * fixed.epoch_losses[-1]
 
     def test_losses_follow_per_image_einsum_training(self, monkeypatch):
+        # the float64 kernel against the float64 reference, both on the
+        # float32 batch training stacks; TestFloat32Training bounds the
+        # float32 kernel against the float64 one
         rng = np.random.default_rng(4)
         inputs, targets = odd_batch(rng, n=4, h=11, w=9)
         pairs = [
@@ -491,12 +543,13 @@ class TestTraining:
             for inp, target in zip(inputs, targets)
         ]
         cfg = MirrorTrainConfig(channels=(8, 8, 1), epochs=20, lr_decay=0.99, seed=2)
+        float64_steps(monkeypatch)
         result = train_mirror_model(pairs, cfg)
         # training hands its step buffers along; the reference has none
         monkeypatch.setattr(
             mirror, "training_loss_gradients",
             lambda params, inputs, targets, buffers: einsum_loss_gradients(
-                params, inputs, targets
+                params, inputs.astype(np.float64), targets.astype(np.float64)
             ),
         )
         ref = train_mirror_model(pairs, cfg)
@@ -546,6 +599,94 @@ class TestTraining:
             train_mirror_model([pair((8, 8)), pair((6, 8))], cfg)
         with pytest.raises(InvalidInputError, match=r"pair 2 .*\(8, 9\)"):
             train_mirror_model([pair((8, 8)), pair((8, 8)), pair((8, 8), (8, 9))], cfg)
+
+
+def train_workload_pairs() -> list:
+    """The training pairs of the benchmark's ``train`` workload at seed
+    0, built in memory: one laptop, mug and jar, two 64 px views each."""
+    cfg = load_config(overrides=dict(views_per_train_instance=2))
+    pairs = []
+    for category in ("laptop", "mug", "jar"):
+        entropy = bench._instance_entropy(0, category, "train", 0)
+        _, mesh, _, _ = bench._build_instance(entropy)
+        cam_rng = bench._rng_for(entropy, bench._SEED_CAMERAS)
+        for _ in range(cfg.views_per_train_instance):
+            pairs.append(make_training_pair(mesh, bench.ring_camera(cam_rng, cfg))[0])
+    return pairs
+
+
+EPS32 = float(np.finfo(np.float32).eps)
+
+
+class TestFloat32Training:
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        pairs = train_workload_pairs()
+        assert len(pairs) == 6 and pairs[0][1].depth.shape == (64, 64)
+        return pairs
+
+    @staticmethod
+    def against_float64(pairs, epochs, monkeypatch):
+        cfg = MirrorTrainConfig(epochs=epochs, seed=0)
+        result = train_mirror_model(pairs, cfg)
+        with monkeypatch.context() as patch:
+            float64_steps(patch)
+            ref = train_mirror_model(pairs, cfg)
+        return result, ref
+
+    def test_tracks_the_float64_loop_for_30_epochs(self, pairs, monkeypatch):
+        # the benchmark's mirror_epochs; measured: weights 8.6e-8, losses
+        # 5.2e-7 relative at worst
+        result, ref = self.against_float64(pairs, 30, monkeypatch)
+        got = np.concatenate([t.ravel() for t in result.params.weights + result.params.biases])
+        want = np.concatenate([t.ravel() for t in ref.params.weights + ref.params.biases])
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+        assert np.allclose(result.epoch_losses, ref.epoch_losses, rtol=1e-5, atol=0.0)
+        assert all(t.dtype == np.float64 for t in result.params.weights + result.params.biases)
+
+    def test_tracks_the_float64_loop_for_200_epochs(self, pairs, monkeypatch):
+        # the product default; measured: losses 2.2e-5 relative at worst
+        result, ref = self.against_float64(pairs, 200, monkeypatch)
+        assert np.allclose(result.epoch_losses, ref.epoch_losses, rtol=1e-3, atol=0.0)
+
+    def test_training_steps_in_float32(self, pairs, monkeypatch):
+        kernel = mirror.training_loss_gradients
+        seen = []
+
+        def recorded(params, inputs, targets, buffers):
+            seen.append((inputs.dtype, targets.dtype))
+            return kernel(params, inputs, targets, buffers)
+
+        monkeypatch.setattr(mirror, "training_loss_gradients", recorded)
+        train_mirror_model(pairs[:2], MirrorTrainConfig(epochs=3, seed=0))
+        assert seen == [(np.float32, np.float32)] * 3
+
+    @pytest.mark.parametrize("shape", [(5, 7, 13), (4, 16, 20)])
+    def test_kernel_matches_einsum_on_rounded_inputs(self, shape):
+        # the float64 reference on the same float32-rounded batch.  The
+        # kernel also rounds the weights, so every pre-activation moves
+        # by up to about 1e-6; one that close to a kink could flip its
+        # rectifier or L1 sign, which no rounding bound covers, and
+        # these batches have none.  Away from kinks the float32 sums
+        # stay within one or two roundings: measured 0.24 EPS32 on the
+        # loss and 1.25 EPS32 of the largest gradient entry
+        rng = np.random.default_rng(21)
+        inputs, targets = (a.astype(np.float32) for a in odd_batch(rng, *shape))
+        inputs64, targets64 = inputs.astype(np.float64), targets.astype(np.float64)
+        for seed in (0, 1):
+            params = tiny_net(channels=(8, 8, 1), seed=seed)
+            pres, cur = [], inputs64
+            for w, b in zip(params.weights, params.biases):
+                pres.append(conv2d(cur, w, b))
+                cur = np.maximum(pres[-1], 0.0)
+            gaps = np.abs(pres[-1][:, 0] - targets64)[targets64 > 0.0]
+            assert min(gaps.min(), *(np.abs(pre).min() for pre in pres[:-1])) > 1e-5
+            loss, gw, gb = training_loss_gradients(params, inputs, targets)
+            ref_loss, ref_gw, ref_gb = einsum_loss_gradients(params, inputs64, targets64)
+            assert loss == pytest.approx(ref_loss, rel=2 * EPS32)
+            for got, ref in zip(gw + gb, ref_gw + ref_gb):
+                assert got.dtype == np.float64 and got.shape == ref.shape
+                assert np.allclose(got, ref, rtol=0.0, atol=8 * EPS32 * np.abs(ref).max())
 
 
 class TestCompletionAndFusion:
