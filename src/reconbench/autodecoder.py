@@ -32,7 +32,7 @@ import numpy as np
 
 from .depth import DepthImage, back_project
 from .errors import InvalidInputError
-from .fileio import DECODER_MAGIC, load_tensors, save_tensors
+from .fileio import DECODER_MAGIC, load_layers, save_layers
 from .geometry import TAG_GENERATED, CameraModel, PointCloud
 from .sdf import (
     GRID_RADIUS,
@@ -379,13 +379,6 @@ def decoder_output_gradients(params: DecoderParams, z: LatentCode, point):
     return gw, gb, gx[0, : params.latent_dim]
 
 
-def decoder_field(params: DecoderParams, z: LatentCode) -> SdfField:
-    def field(points: np.ndarray) -> np.ndarray:
-        return decoder_forward(params, z, points)
-
-    return field
-
-
 def _clamp(a: np.ndarray, delta: float) -> np.ndarray:
     return np.clip(a, -delta, delta)
 
@@ -398,11 +391,18 @@ def _loss_terms(pred, target, codes_rows, cfg: TrainConfig):
     of the sample's object.
     """
     r = _clamp(pred, cfg.clamp_delta) - _clamp(target, cfg.clamp_delta)
-    n = pred.shape[0]
     data = np.abs(r).mean()
     prior = cfg.code_prior_weight * np.einsum("nk,nk->n", codes_rows, codes_rows).mean()
-    dpred = np.sign(r) * (np.abs(pred) < cfg.clamp_delta) / n
-    return data + prior, dpred
+    return data + prior, _clamped_l1_grad(r, pred, cfg.clamp_delta, pred.shape[0])
+
+
+def _clamped_l1_grad(r, pred, delta: float, n: int) -> np.ndarray:
+    """d(sum |r| / n)/d(pred) for the clamped residual ``r``, written over
+    ``r``: sign(r) / n where ``|pred| < delta``, else zero."""
+    np.sign(r, out=r)
+    r *= np.abs(pred) < delta
+    r /= n
+    return r
 
 
 @dataclass
@@ -534,13 +534,9 @@ def infer_latent(
         for (s, e), first in zip(blocks, firsts):
             acts = fixed.layers(first)
             pred = acts[-1][:, 0]
-            # d(loss)/d(pred) of _loss_terms; its loss value and prior
-            # term are not needed here
-            dpred = _clamp(pred, cfg.clamp_delta) - target[s:e]
-            np.sign(dpred, out=dpred)
-            dpred *= np.abs(pred) < cfg.clamp_delta
-            dpred /= n
-            block = fixed.code_grad(acts, dpred)
+            # _loss_terms' d(loss)/d(pred); inference needs no loss value
+            r = _clamp(pred, cfg.clamp_delta) - target[s:e]
+            block = fixed.code_grad(acts, _clamped_l1_grad(r, pred, cfg.clamp_delta, n))
             if block is not None:
                 total += block
         gz = total @ fixed.code_weights + 2.0 * cfg.code_prior_weight * z
@@ -548,14 +544,6 @@ def infer_latent(
         z = z + vel
         code_lr *= cfg.lr_decay
     return z
-
-
-def latent_inference_loss(
-    params: DecoderParams, observation: SdfSamples, z: LatentCode, cfg: TrainConfig
-) -> float:
-    pred = decoder_forward(params, z, observation.points)
-    loss, _ = _loss_terms(pred, observation.sdf, np.atleast_2d(z), cfg)
-    return float(loss)
 
 
 def _forward_error_bound(params: DecoderParams, z: LatentCode, dtype) -> float:
@@ -642,14 +630,14 @@ def reconstruct(
 ) -> PointCloud:
     """Surface points of the decoded field, tagged generated.
 
-    Equal bit for bit to ``extract_surface_points(decoder_field(params,
-    z), grid_resolution, gradient_fn=...)`` with ``decoder_gradient``,
-    at a fraction of its cost: a float32 pass (``_screen_field``)
-    screens the grid, and only points whose float32 value lies within
-    the extraction band widened by ``_screen_margin`` get float64
-    values.  The margin bounds the two passes' distance at any grid
-    point, so a point the screen drops has a float64 value outside the
-    band.  Both passes are ``_FixedCode``'s forward, in float32 and in
+    Equal bit for bit to ``extract_surface_points`` on
+    ``decoder_forward`` with ``decoder_gradient`` as its
+    ``gradient_fn``, at a fraction of its cost: a float32 pass
+    (``_screen_field``) screens the grid, and only points whose float32
+    value lies within the extraction band widened by ``_screen_margin``
+    get float64 values.  The margin bounds the two passes' distance at
+    any grid point, so a point the screen drops has a float64 value
+    outside the band.  Both passes are ``_FixedCode``'s forward, in float32 and in
     float64.  The float64 pass runs once per kept point
     (``_kept_pass``): the Newton step's gradients come from the same
     pass's activations, exact because the point backward contracts over
@@ -737,29 +725,14 @@ def view_samples_for_inference(
 
 def save_decoder(path, params: DecoderParams,
                  codes: Sequence[LatentCode] | None = None) -> None:
-    tensors: dict[str, np.ndarray] = {}
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        tensors[f"layer{i}.weight"] = w
-        tensors[f"layer{i}.bias"] = b
-    if codes is not None:
-        tensors["codes"] = np.stack([np.asarray(c, dtype=np.float64) for c in codes])
-    save_tensors(path, DECODER_MAGIC, tensors)
+    save_layers(path, DECODER_MAGIC, "layer", params.weights, params.biases, codes)
 
 
 def load_decoder(path) -> tuple[DecoderParams, list[LatentCode] | None]:
-    tensors = load_tensors(path, DECODER_MAGIC)
-    weights = []
-    biases = []
-    i = 0
-    while f"layer{i}.weight" in tensors:
-        weights.append(tensors[f"layer{i}.weight"])
-        biases.append(tensors[f"layer{i}.bias"])
-        i += 1
+    weights, biases, codes = load_layers(path, DECODER_MAGIC, "layer")
     if not weights:
         raise InvalidInputError(f"no decoder layers found in {path}")
-    latent_dim = weights[0].shape[1] - 3
-    params = DecoderParams(latent_dim, tuple(weights), tuple(biases))
-    codes = None
-    if "codes" in tensors:
-        codes = [row.copy() for row in tensors["codes"]]
+    params = DecoderParams(weights[0].shape[1] - 3, weights, biases)
+    if codes is not None:
+        codes = [row.copy() for row in codes]
     return params, codes

@@ -391,17 +391,13 @@ def _infer_and_decode(
     wide = autodecoder.view_samples_for_inference(
         observed, cam, value_cap=_INFER_COARSE_DELTA, max_count=cfg.infer_max_samples
     )
-    z = None
-    if cfg.infer_coarse_steps > 0:
-        # wide-band pass first: with a narrow clamp the loss has
-        # no gradient wherever the current field is further than
-        # clamp_delta from the observations
-        coarse_cfg = dataclasses.replace(
-            decoder_cfg,
-            clamp_delta=_INFER_COARSE_DELTA,
-            epochs=cfg.infer_coarse_steps,
-        )
-        z = autodecoder.infer_latent(decoder_params, wide, coarse_cfg)
+    # wide-band pass first: with a narrow clamp the loss has no gradient
+    # wherever the field is further than clamp_delta from the observations;
+    # zero steps return the zero code, where the narrow pass would start
+    coarse_cfg = dataclasses.replace(
+        decoder_cfg, clamp_delta=_INFER_COARSE_DELTA, epochs=cfg.infer_coarse_steps
+    )
+    z = autodecoder.infer_latent(decoder_params, wide, coarse_cfg)
     # the same points and thinning draw with the narrow cap: a value is
     # its ray gap capped, and clamp_delta < _INFER_COARSE_DELTA
     obs = SdfSamples(wide.points, np.minimum(wide.sdf, decoder_cfg.clamp_delta))

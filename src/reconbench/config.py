@@ -28,7 +28,8 @@ _DECODER_MOMENTUM = 0.9
 
 # counts that zero would only reject once a stage has started work
 _AT_LEAST_ONE = (
-    "sdf_total_count", "gt_surface_samples", "infer_max_samples", "bench_repetitions"
+    "image_width", "image_height", "sdf_total_count", "gt_surface_samples",
+    "infer_max_samples", "bench_repetitions",
 )
 # the keys decoder_config feeds whose values TrainConfig can reject
 _DECODER_KEYS = (

@@ -402,3 +402,28 @@ def load_tensors(path, magic: bytes) -> dict[str, np.ndarray]:
         for name, dims in shapes:
             out[name] = _read_array(fh, dims, "<f8", path, f"tensor {name}").copy()
     return out
+
+
+def save_layers(path, magic: bytes, prefix: str, weights, biases, codes=None) -> None:
+    """A model's layer stack as one container: ``<prefix><i>.weight``
+    and ``<prefix><i>.bias`` for each layer in order, then the latent
+    codes, when given, stacked into one ``codes`` tensor."""
+    tensors: dict[str, np.ndarray] = {}
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        tensors[f"{prefix}{i}.weight"] = w
+        tensors[f"{prefix}{i}.bias"] = b
+    if codes is not None:
+        tensors["codes"] = np.stack(codes)
+    save_tensors(path, magic, tensors)
+
+
+def load_layers(path, magic: bytes, prefix: str):
+    """``(weights, biases, codes)`` of a container ``save_layers`` wrote:
+    the layers up to the first missing index, and ``codes`` or None."""
+    tensors = load_tensors(path, magic)
+    weights, biases = [], []
+    while f"{prefix}{len(weights)}.weight" in tensors:
+        i = len(weights)
+        weights.append(tensors[f"{prefix}{i}.weight"])
+        biases.append(tensors[f"{prefix}{i}.bias"])
+    return tuple(weights), tuple(biases), tensors.get("codes")

@@ -14,7 +14,7 @@ Conventions, fixed once for the whole package:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -194,18 +194,11 @@ class RigidTransform:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
-
-    def orthonormality_error(self) -> float:
-        r = self.rotation
-        return float(np.abs(r.T @ r - np.eye(3)).max())
-
     def validate(self) -> None:
-        if self.orthonormality_error() > ORTHONORMAL_TOL:
+        r = self.rotation
+        if np.abs(r.T @ r - np.eye(3)).max() > ORTHONORMAL_TOL:
             raise InvalidInputError("rotation is not orthonormal")
-        if abs(np.linalg.det(self.rotation) - 1.0) > ORTHONORMAL_TOL:
+        if abs(np.linalg.det(r) - 1.0) > ORTHONORMAL_TOL:
             raise InvalidInputError("rotation determinant is not +1")
 
 
@@ -231,12 +224,13 @@ def normalize_to_unit_sphere(
     return TriangleMesh(shifted * scale, mesh.triangles), scale, center
 
 
-def look_at_rotation(eye, target, up=(0.0, 0.0, 1.0)) -> np.ndarray:
+def look_at_rotation(eye, target) -> np.ndarray:
     """Camera-to-world rotation for a camera at eye looking at target.
 
-    The camera z axis points at the target.  ``up`` is the world up hint;
-    when the view direction lies within 1e-6 (Euclidean) of +-(0,0,1) the
-    hint switches to (0,1,0) so the frame stays well defined.
+    The camera z axis points at the target and its x axis is
+    perpendicular to world up (0,0,1).  When the view direction lies
+    within 1e-6 (Euclidean) of +-(0,0,1), (0,1,0) stands in for up so
+    the frame stays well defined.
     """
     eye = np.asarray(eye, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -245,17 +239,11 @@ def look_at_rotation(eye, target, up=(0.0, 0.0, 1.0)) -> np.ndarray:
     if norm == 0.0:
         raise InvalidInputError("eye and target coincide")
     forward = forward / norm
-    up = np.asarray(up, dtype=np.float64)
-    z_axis = np.array([0.0, 0.0, 1.0])
-    if min(
-        np.linalg.norm(forward - z_axis), np.linalg.norm(forward + z_axis)
-    ) < UP_FALLBACK_TOL and np.allclose(up, z_axis):
+    up = np.array([0.0, 0.0, 1.0])
+    if min(np.linalg.norm(forward - up), np.linalg.norm(forward + up)) < UP_FALLBACK_TOL:
         up = np.array([0.0, 1.0, 0.0])
     right = np.cross(forward, up)
-    right_norm = np.linalg.norm(right)
-    if right_norm < 1e-12:
-        raise InvalidInputError("up vector is parallel to the view direction")
-    right = right / right_norm
+    right = right / np.linalg.norm(right)
     down = np.cross(forward, right)
     return np.column_stack([right, down, forward])
 
@@ -270,7 +258,7 @@ class CameraModel:
     cy: float
     width: int
     height: int
-    pose: RigidTransform = field(default_factory=RigidTransform.identity)
+    pose: RigidTransform
 
     def __post_init__(self):
         if not np.all(np.isfinite([self.fx, self.fy, self.cx, self.cy])):

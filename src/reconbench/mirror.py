@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .depth import DepthImage, back_project, render_depth, splat_cloud
 from .errors import InvalidInputError, MissingArtifactError
-from .fileio import MIRROR_MAGIC, load_pfm, load_tensors, save_pfm, save_tensors
+from .fileio import MIRROR_MAGIC, load_layers, load_pfm, save_layers, save_pfm
 from .geometry import (
     TAG_GENERATED,
     CameraModel,
@@ -109,12 +109,6 @@ class MirrorModelParams:
             expect = w.shape[0]
         if expect != 1:
             raise InvalidInputError("network must end in a single channel")
-
-    def copy(self) -> "MirrorModelParams":
-        return MirrorModelParams(
-            tuple(w.copy() for w in self.weights),
-            tuple(b.copy() for b in self.biases),
-        )
 
 
 @dataclass(frozen=True)
@@ -477,12 +471,13 @@ def learned_completion(params: MirrorModelParams) -> CompletionFn:
 
 
 def make_training_pair(
-    mesh: TriangleMesh, cam: CameraModel, object_center=(0.0, 0.0, 0.0)
+    mesh: TriangleMesh, cam: CameraModel
 ) -> tuple[TrainingPair, DepthImage]:
     """Render one supervised example: ((splat, mask), target) plus the
-    front view it came from."""
+    front view it came from.  The mirror view reflects ``cam`` through
+    the origin, as in ``reconstruct_view_dependent``."""
     observed = render_depth(mesh, cam)
-    virtual = mirror_pose(cam, object_center)
+    virtual = mirror_pose(cam, (0.0, 0.0, 0.0))
     splat, mask = splat_into_view(observed, cam, virtual)
     target = render_depth(mesh, virtual)
     return ((splat, mask), target), observed
@@ -510,25 +505,14 @@ def reconstruct_view_dependent(
 
 
 def save_mirror_model(path, params: MirrorModelParams) -> None:
-    tensors: dict[str, np.ndarray] = {}
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        tensors[f"conv{i}.weight"] = w
-        tensors[f"conv{i}.bias"] = b
-    save_tensors(path, MIRROR_MAGIC, tensors)
+    save_layers(path, MIRROR_MAGIC, "conv", params.weights, params.biases)
 
 
 def load_mirror_model(path) -> MirrorModelParams:
-    tensors = load_tensors(path, MIRROR_MAGIC)
-    weights = []
-    biases = []
-    i = 0
-    while f"conv{i}.weight" in tensors:
-        weights.append(tensors[f"conv{i}.weight"])
-        biases.append(tensors[f"conv{i}.bias"])
-        i += 1
+    weights, biases, _ = load_layers(path, MIRROR_MAGIC, "conv")
     if not weights:
         raise InvalidInputError(f"no conv layers found in {path}")
-    return MirrorModelParams(tuple(weights), tuple(biases))
+    return MirrorModelParams(weights, biases)
 
 
 def save_training_pairs(

@@ -23,13 +23,11 @@ from reconbench.autodecoder import (
     _screen_field,
     _screen_margin,
     _step_numbers,
-    decoder_field,
     decoder_forward,
     decoder_gradient,
     decoder_output_gradients,
     infer_latent,
     init_decoder,
-    latent_inference_loss,
     load_decoder,
     reconstruct,
     save_decoder,
@@ -63,6 +61,13 @@ def tiny_config(**kw) -> TrainConfig:
     base = dict(latent_dim=4, hidden=(8, 8), epochs=5, batch_size=64, seed=0)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def inference_loss(params, observation, z, cfg) -> float:
+    """The objective latent inference descends at code z: the clamped-L1
+    data term plus the code prior."""
+    pred = decoder_forward(params, z, observation.points)
+    return float(_loss_terms(pred, observation.sdf, np.atleast_2d(z), cfg)[0])
 
 
 def zero_params(cfg: TrainConfig) -> DecoderParams:
@@ -157,13 +162,6 @@ class TestForward:
                           code_learning_rate=0.1, code_prior_weight=0.0)
         assert np.allclose(infer_latent(params, obs, cfg, init=z), z - 0.1 * 0.5)
 
-    def test_field_adapter(self, rng):
-        cfg = tiny_config()
-        params = init_decoder(cfg)
-        z = rng.normal(size=4)
-        pts = rng.normal(size=(6, 3))
-        assert np.array_equal(decoder_field(params, z)(pts), decoder_forward(params, z, pts))
-
 
 class TestGradients:
     def test_output_gradients_match_finite_differences(self):
@@ -247,8 +245,8 @@ class TestGradients:
             zp[k] += h
             zm[k] -= h
             fd = (
-                latent_inference_loss(scaled, obs, zp, step_cfg)
-                - latent_inference_loss(scaled, obs, zm, step_cfg)
+                inference_loss(scaled, obs, zp, step_cfg)
+                - inference_loss(scaled, obs, zm, step_cfg)
             ) / (2 * h)
             assert rel_err(float(analytic[k]), fd) <= 1e-4
 
@@ -384,7 +382,7 @@ class TestTraining:
         z = np.zeros(cfg.latent_dim)
         far = SdfSamples(pts, np.full(30, 0.7))
         at_delta = SdfSamples(pts, np.full(30, cfg.clamp_delta))
-        assert latent_inference_loss(params, far, z, cfg) == latent_inference_loss(
+        assert inference_loss(params, far, z, cfg) == inference_loss(
             params, at_delta, z, cfg
         )
 
@@ -427,8 +425,8 @@ class TestInference:
             [samples], tiny_config(epochs=60, learning_rate=5e-3, code_learning_rate=5e-3)
         )
         z = infer_latent(trained.params, samples, cfg)
-        before = latent_inference_loss(trained.params, samples, np.zeros(4), cfg)
-        after = latent_inference_loss(trained.params, samples, z, cfg)
+        before = inference_loss(trained.params, samples, np.zeros(4), cfg)
+        after = inference_loss(trained.params, samples, z, cfg)
         assert after <= before
 
     def test_empty_observation_rejected(self):
@@ -598,7 +596,7 @@ class TestBlockedKernels:
         pts = rng.uniform(-GRID_RADIUS, GRID_RADIUS, size=(3000, 3))
         np.testing.assert_allclose(
             decoder_gradient(params, z, pts),
-            numeric_gradient(decoder_field(params, z), pts),
+            numeric_gradient(lambda p: decoder_forward(params, z, p), pts),
             rtol=1e-6,
             atol=1e-8,
         )
@@ -672,7 +670,10 @@ class TestBlockedKernels:
 
     def test_extraction_with_analytic_gradient(self):
         params, z = product_decoder()
-        field = decoder_field(params, z)
+
+        def field(p):
+            return decoder_forward(params, z, p)
+
         central = extract_surface_points(field, 32)
         exact = extract_surface_points(
             field, 32, gradient_fn=lambda p: decoder_gradient(params, z, p)
@@ -750,7 +751,9 @@ def spread_decoder() -> DecoderParams:
 
 def unscreened(params, z, res) -> np.ndarray:
     return extract_surface_points(
-        decoder_field(params, z), res, gradient_fn=lambda p: decoder_gradient(params, z, p)
+        lambda p: decoder_forward(params, z, p),
+        res,
+        gradient_fn=lambda p: decoder_gradient(params, z, p),
     )
 
 
@@ -785,7 +788,7 @@ class TestScreen:
         params = scaled_decoder(seed, factor)
         for z in (np.zeros(16), rng.normal(0.0, 0.1, size=16)):
             _, rough = evaluate_on_grid(_screen_field(params, z), 32)
-            _, exact = evaluate_on_grid(decoder_field(params, z), 32)
+            _, exact = evaluate_on_grid(lambda p: decoder_forward(params, z, p), 32)
             assert np.all(np.abs(rough - exact) <= _screen_margin(params, z))
 
     def test_margin_is_far_inside_the_band(self):
@@ -818,7 +821,7 @@ class TestScreen:
     def test_kept_values_equal_the_whole_grid_pass(self, res):
         params = spread_decoder()
         _, z = product_decoder()
-        pts, exact = evaluate_on_grid(decoder_field(params, z), res)
+        pts, exact = evaluate_on_grid(lambda p: decoder_forward(params, z, p), res)
         _, rough = evaluate_on_grid(_screen_field(params, z), res)
         kept = np.abs(rough) <= default_iso_epsilon(res) + _screen_margin(params, z)
         assert 0 < kept.sum() < 0.5 * len(pts)

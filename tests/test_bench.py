@@ -409,6 +409,8 @@ class TestConfig:
             ("gt_surface_samples", "0"),
             ("infer_max_samples", "0"),
             ("bench_repetitions", "0"),
+            ("image_width", "0"),
+            ("image_height", "0"),
         ],
     )
     def test_value_a_stage_rejects_fails_at_load(self, key, raw):
@@ -569,23 +571,24 @@ class TestTiming:
         seen = []
 
         def infer(p, obs, c, init=None):
-            seen.append(obs)
+            seen.append((obs, c.epochs))
             return np.zeros(p.latent_dim)
 
         monkeypatch.setattr(autodecoder, "infer_latent", infer)
         monkeypatch.setattr(autodecoder, "reconstruct", lambda *args: None)
         bench._infer_and_decode(observed, front_camera, cfg, params, decoder_cfg)
-        caps = [bench._INFER_COARSE_DELTA] * (coarse_steps > 0) + [decoder_cfg.clamp_delta]
-        assert len(seen) == len(caps)
-        for obs, cap in zip(seen, caps):
+        # the coarse pass always runs; with zero steps it returns its zero start
+        assert [epochs for _, epochs in seen] == [coarse_steps, decoder_cfg.epochs]
+        caps = [bench._INFER_COARSE_DELTA, decoder_cfg.clamp_delta]
+        for (obs, _), cap in zip(seen, caps):
             want = autodecoder.view_samples_for_inference(
                 observed, front_camera, value_cap=cap, max_count=500
             )
             assert np.array_equal(obs.points, want.points)
             assert np.array_equal(obs.sdf, want.sdf)
         # thinned, and the wide cap reaches values the narrow one clips
-        assert len(seen[0]) == 500
-        assert np.max(seen[0].sdf) > decoder_cfg.clamp_delta or not coarse_steps
+        assert len(seen[0][0]) == 500
+        assert np.max(seen[0][0].sdf) > decoder_cfg.clamp_delta
 
     def test_one_clock_reading_per_timed_region(self, trained_ws, monkeypatch, capsys):
         # a clock that advances one second per reading: each timed
@@ -715,6 +718,14 @@ class TestCli:
             assert code == 1
             key = line.split()[0]
             assert f"error: bad value for {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "ws").exists()
+
+    def test_zero_image_size_fails_before_any_write(self, tmp_path, capsys):
+        # a zero size must fail before gen-data writes a mesh or views/
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("image_width = 0\n")
+        assert main(["gen-data", "--out", str(tmp_path / "ws"), "--config", str(cfg)]) == 1
+        assert "image_width must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "ws").exists()
 
     @pytest.mark.parametrize("key", ["views_per_test_instance", "infer_coarse_steps"])

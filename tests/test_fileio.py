@@ -1,14 +1,17 @@
 """Malformed headers and fields, and interrupted writes, in the file formats."""
 import builtins
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from reconbench import fileio
+from reconbench.autodecoder import load_decoder, save_decoder
 from reconbench.bench import EvalRecord, write_results
 from reconbench.errors import InvalidInputError, MissingArtifactError
 from reconbench.fileio import (
     DECODER_MAGIC,
+    MIRROR_MAGIC,
     SAMPLES_MAGIC,
     load_obj,
     load_pfm,
@@ -17,6 +20,7 @@ from reconbench.fileio import (
     save_obj,
 )
 from reconbench.geometry import TriangleMesh, camera_looking_at
+from reconbench.mirror import load_mirror_model, save_mirror_model
 from reconbench.shapes import CATEGORIES, build_mesh, icosphere, sample_spec
 
 _PFM_BODY = bytes(16)
@@ -304,3 +308,45 @@ def test_interrupted_results_write_keeps_the_earlier_file(tmp_path, monkeypatch)
         write_results(path, [row, row])
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+# the trained models the benchmark's evaluate workload loads; read only
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+
+
+@pytest.mark.parametrize(
+    "name, load, save",
+    [
+        ("decoder.rbsd", load_decoder, lambda path, model: save_decoder(path, *model)),
+        ("mirror.rbmr", load_mirror_model, save_mirror_model),
+    ],
+    ids=["decoder", "mirror"],
+)
+def test_model_file_round_trip_keeps_every_byte(tmp_path, name, load, save):
+    # tensor names, their order and the codes tensor are the file layout
+    out = tmp_path / name
+    save(out, load(FIXTURES / name))
+    assert out.read_bytes() == (FIXTURES / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "magic, other_prefix, load, message",
+    [
+        (DECODER_MAGIC, "conv", load_decoder, "no decoder layers found in"),
+        (MIRROR_MAGIC, "layer", load_mirror_model, "no conv layers found in"),
+    ],
+    ids=["decoder", "mirror"],
+)
+def test_container_without_its_model_layers_rejected(
+    tmp_path, magic, other_prefix, load, message
+):
+    # layers under the other model's prefix are not this model's layers
+    path = tmp_path / "model.bin"
+    fileio.save_tensors(path, magic, {
+        f"{other_prefix}0.weight": np.zeros((1, 2, 3, 3)),
+        f"{other_prefix}0.bias": np.zeros(1),
+        "codes": np.zeros((1, 4)),
+    })
+    with pytest.raises(InvalidInputError) as info:
+        load(path)
+    assert str(info.value) == f"{message} {path}"

@@ -162,7 +162,10 @@ class TestLookAt:
     def test_non_finite_intrinsics_rejected(self, field, value):
         intrinsics = {"fx": 50.0, "fy": 50.0, "cx": 32.0, "cy": 32.0, field: value}
         with pytest.raises(InvalidInputError, match="finite"):
-            CameraModel(**intrinsics, width=64, height=64)
+            CameraModel(
+                **intrinsics, width=64, height=64,
+                pose=RigidTransform(np.eye(3), np.zeros(3)),
+            )
 
 
 class TestMeshFiles:
