@@ -8,11 +8,12 @@ the weights frozen.  Losses clamp both prediction and target to a band
 around the surface so supervision concentrates where it matters.
 
 Everything is plain numpy with hand-written backpropagation; gradients
-are validated against finite differences in the test suite.  Training
-runs the stacked network on code and point together.  Every pass with
-a fixed code (``decoder_forward``, ``decoder_gradient``, grid decoding
-and latent inference) runs one row-blocked forward, ``_FixedCode``,
-whose first layer is the code's constant plus a 3-column point product.
+are validated against finite differences in the test suite.  Every
+pass runs one layer stack, ``_Layers``, whose first layer is a 3-column
+point product plus each row's code half, ``W0[:, :L] @ z + b0``.
+Training gathers that half per row from one row per object; every pass
+with a fixed code (``decoder_forward``, ``decoder_gradient``, grid
+decoding and latent inference) holds one, in ``_FixedCode``.
 Grid decoding screens the grid in float32 and computes float64 values,
 and the Newton step's gradients from the same pass, only where a proven
 error margin cannot rule a point out, so its output is the all-float64
@@ -20,8 +21,11 @@ one bit for bit (see ``reconstruct``): there float32 only decides which
 points get float64 values.  Latent inference runs in float32, as the
 reference implementation does; its float32 values are the gradient
 itself, so its code differs from a float64 loop's by rounding (a test
-bounds the distance on the trained benchmark decoder).  Training,
-``decoder_forward`` and ``decoder_gradient`` run in float64.
+bounds the distance on the trained benchmark decoder).  Training steps
+in float32 too, with float64 master weights and codes, so its decoder
+differs from a float64 loop's by rounding (a test bounds the distance
+on the benchmark's training samples).  ``decoder_forward``,
+``decoder_gradient`` and ``decoder_output_gradients`` run in float64.
 """
 from __future__ import annotations
 
@@ -150,38 +154,6 @@ def init_decoder(cfg: TrainConfig, rng: np.random.Generator | None = None) -> De
     return DecoderParams(cfg.latent_dim, tuple(weights), tuple(biases))
 
 
-def _forward_acts(params: DecoderParams, x: np.ndarray) -> list[np.ndarray]:
-    """Input and every layer's output."""
-    acts = [x]
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        pre = acts[-1] @ w.T
-        pre += b
-        acts.append(pre if i == last else np.tanh(pre, out=pre))
-    return acts
-
-
-def _backward(params: DecoderParams, acts: list[np.ndarray], dout: np.ndarray):
-    """Gradients of a scalar objective given d(objective)/d(output).
-
-    Returns per-layer weight and bias gradients plus the gradient with
-    respect to the network input.
-    """
-    gw = [np.empty(0)] * len(params.weights)
-    gb = [np.empty(0)] * len(params.weights)
-    last = len(params.weights) - 1
-    grad = dout
-    for i in range(last, -1, -1):
-        gw[i] = grad.T @ acts[i]
-        gb[i] = grad.sum(axis=0)
-        # a product over one column is one rounding per entry: the
-        # broadcast multiply gives the same bits at half the cost
-        grad = grad * params.weights[i] if i == last else grad @ params.weights[i]
-        if i > 0:
-            grad = grad * (1.0 - acts[i] ** 2)
-    return gw, gb, grad
-
-
 def _row_blocks(n: int) -> list[tuple[int, int]]:
     """Near-equal (start, end) blocks of at most about ``_ROW_BLOCK`` rows,
     each starting at a multiple of ``_ROW_ALIGN``."""
@@ -200,19 +172,89 @@ def _check_code(params: DecoderParams, z: LatentCode) -> np.ndarray:
     return z
 
 
-class _FixedCode:
+class _Layers:
+    """The decoder's layers in ``dtype`` over one block of rows: the one
+    forward pass of every decoder pass, training included.
+
+    Layer 0 splits in two.  Each point costs a 3-column product with a
+    contiguous copy of ``W0[:, L:]``; the code half plus the bias,
+    ``W0[:, :L] @ z + b0``, is one row per code (``code_rows``), formed
+    in float64 and rounded once to ``dtype``, which the caller adds per
+    row.  Every later bias is added from a row tile of it, which gives
+    the bits of a broadcast add at about half the cost.  The tiles and
+    the layer buffers grow to the largest block seen and serve every
+    later one, so a pass allocates no block-sized array.
+
+    The weights are copied in ``dtype`` when the stack is built and by
+    ``load``, which training calls once per step; the parameters stay
+    float64.
+    """
+
+    def __init__(self, params: DecoderParams, dtype=np.float64):
+        self.params = params
+        self.dtype = dtype
+        latent = params.latent_dim
+        w0 = params.weights[0]
+        self.code_weights = w0[:, :latent]
+        self.point = np.empty((w0.shape[0], 3), dtype)
+        self.weights = [np.empty(w.shape, dtype) for w in params.weights[1:]]
+        self.biases = [np.empty(b.shape, dtype) for b in params.biases[1:]]
+        self.tiles = [np.empty((0, b.shape[0]), dtype) for b in self.biases]
+        self.outs = [np.empty((0, b.shape[0]), dtype) for b in params.biases]
+        self.load()
+
+    def load(self) -> None:
+        """Copy the parameters' current weights, rounded to ``dtype``."""
+        self.point[...] = self.params.weights[0][:, self.params.latent_dim :]
+        for dst, src in zip(self.weights, self.params.weights[1:]):
+            dst[...] = src
+        for dst, tile, src in zip(self.biases, self.tiles, self.params.biases[1:]):
+            dst[...] = src
+            tile[...] = src
+
+    def code_rows(self, codes: np.ndarray) -> np.ndarray:
+        """``W0[:, :L] @ z + b0`` for each row ``z`` of ``codes``, formed in
+        float64 and rounded once to ``dtype``."""
+        return (codes @ self.code_weights.T + self.params.biases[0]).astype(self.dtype)
+
+    def _grow(self, arrays: list[np.ndarray], m: int) -> list[np.ndarray]:
+        if not arrays or arrays[0].shape[0] >= m:
+            return arrays
+        return [np.empty((m, a.shape[1]), self.dtype) for a in arrays]
+
+    def layers(self, first: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
+        """Every layer's output for one block, given the block's layer-0
+        point product ``first`` and each row's code half ``rows``; the
+        outputs are views of the layer buffers, good until the next
+        call."""
+        m = first.shape[0]
+        if self.tiles and self.tiles[0].shape[0] < m:
+            self.tiles = [np.tile(b, (m, 1)) for b in self.biases]
+        self.outs = self._grow(self.outs, m)
+        h = np.add(first, rows, out=self.outs[0][:m])
+        acts = [h]
+        for w, tile, out in zip(self.weights, self.tiles, self.outs[1:]):
+            np.tanh(h, out=h)
+            h = np.matmul(h, w.T, out=out[:m])
+            np.add(h, tile[:m], out=h)
+            acts.append(h)
+        return acts
+
+    def forward(self, points: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
+        """Every layer's output for one block of points, as ``layers``."""
+        m = points.shape[0]
+        self.outs = self._grow(self.outs, m)
+        return self.layers(np.matmul(points, self.point.T, out=self.outs[0][:m]), rows)
+
+
+class _FixedCode(_Layers):
     """The decoder with its latent code held fixed, evaluated in ``dtype``:
     the one forward pass of ``decoder_forward``, ``decoder_gradient``,
     the float32 screen, the kept pass and latent inference.
 
-    Layer 0 splits in two.  Its code half plus its bias,
-    ``W0[:, :L] @ z + b0``, is one constant per code, formed in float64
-    and rounded once to ``dtype``; each point then costs a 3-column
-    product with a contiguous copy of ``W0[:, L:]``.  Every bias is added
-    from a row tile of it, which gives the bits of a broadcast add at
-    about half the cost.  The tiles and the layer buffers grow to the
-    largest block seen and serve every later one, so a pass allocates no
-    block-sized array.
+    The code's half of layer 0, ``W0[:, :L] @ z + b0``, is one constant,
+    formed in float64 and rounded once to ``dtype``, and added from a row
+    tile of it (``code_tile``).
 
     A row's value does not depend on the block's size or on the row's
     place in it, as long as the row sits in a whole ``_ROW_ALIGN`` group
@@ -220,61 +262,29 @@ class _FixedCode:
     value and gradient do not depend on the call.
 
     ``decoder_forward``, ``decoder_gradient`` and the kept pass run in
-    float64; the grid screen and latent inference in float32.  Whatever
-    the dtype, the code's constant is formed in float64, and
+    float64; the grid screen and latent inference in float32.
     ``code_grad`` returns its sum in ``dtype`` for the caller to
     accumulate.
     """
 
     def __init__(self, params: DecoderParams, z: LatentCode, dtype=np.float64):
         z = _check_code(params, z)
-        w0 = params.weights[0]
-        self.dtype = dtype
-        self.code_weights = w0[:, : params.latent_dim]
-        self.first_bias = params.biases[0]
-        self.point = np.ascontiguousarray(w0[:, params.latent_dim :], dtype=dtype)
-        self.weights = [w.astype(dtype, copy=False) for w in params.weights[1:]]
-        self.biases = [self.first_bias, *(b.astype(dtype) for b in params.biases[1:])]
-        self.tiles = [np.empty((0, b.shape[0]), dtype) for b in self.biases]
-        self.outs = [np.empty((0, b.shape[0]), dtype) for b in self.biases]
+        super().__init__(params, dtype)
+        self.tile = np.empty((0, self.point.shape[0]), dtype)
         # the gathered live rows of each hidden layer, for code_grad
-        self.gathered = [np.empty((0, b.shape[0]), dtype) for b in self.biases[:-1]]
+        self.gathered = [np.empty((0, b.shape[0]), dtype) for b in params.biases[:-1]]
         self.set_code(z)
 
     def set_code(self, z: np.ndarray) -> None:
         """Hold code ``z`` from now on."""
-        self.biases[0] = (self.code_weights @ z + self.first_bias).astype(self.dtype)
-        self.tiles[0][...] = self.biases[0]
+        self.code = (self.code_weights @ z + self.params.biases[0]).astype(self.dtype)
+        self.tile[...] = self.code
 
-    def _grow(self, arrays: list[np.ndarray], m: int) -> list[np.ndarray]:
-        if not arrays or arrays[0].shape[0] >= m:
-            return arrays
-        return [np.empty((m, a.shape[1]), self.dtype) for a in arrays]
-
-    def layers(self, first: np.ndarray) -> list[np.ndarray]:
-        """Every layer's output for one block, given the block's layer-0
-        point product ``first``; the outputs are views of the layer
-        buffers, good until the next call."""
-        m = first.shape[0]
-        if self.tiles[0].shape[0] < m:
-            self.tiles = [np.tile(b, (m, 1)) for b in self.biases]
-        self.outs = self._grow(self.outs, m)
-        acts: list[np.ndarray] = []
-        last = len(self.tiles) - 1
-        for i, (tile, out) in enumerate(zip(self.tiles, self.outs)):
-            if i == 0:
-                h = np.add(first, tile[:m], out=out[:m])
-            else:
-                h = np.matmul(acts[-1], self.weights[i - 1].T, out=out[:m])
-                np.add(h, tile[:m], out=h)
-            acts.append(h if i == last else np.tanh(h, out=h))
-        return acts
-
-    def forward(self, points: np.ndarray) -> list[np.ndarray]:
-        """Every layer's output for one block of points, as ``layers``."""
-        m = points.shape[0]
-        self.outs = self._grow(self.outs, m)
-        return self.layers(np.matmul(points, self.point.T, out=self.outs[0][:m]))
+    def code_tile(self, m: int) -> np.ndarray:
+        """The held code's half of layer 0 for ``m`` rows."""
+        if self.tile.shape[0] < m:
+            self.tile = np.tile(self.code, (m, 1))
+        return self.tile[:m]
 
     def point_grads(self, acts: list[np.ndarray]) -> np.ndarray:
         """Gradient of the output with respect to the query point, (m, 3),
@@ -349,7 +359,7 @@ class _FixedCode:
             block = pts[s:e]
             if m % _ROW_ALIGN:
                 block = np.concatenate([block, np.zeros((-m % _ROW_ALIGN, 3), self.dtype)])
-            acts = self.forward(block)
+            acts = self.forward(block, self.code_tile(block.shape[0]))
             vals[s:e] = acts[-1][:m, 0]
             if with_grads:
                 grads[s:e] = self.point_grads(acts)[:m]
@@ -370,30 +380,20 @@ def decoder_gradient(params: DecoderParams, z: LatentCode, points) -> np.ndarray
 def decoder_output_gradients(params: DecoderParams, z: LatentCode, point):
     """Exact gradients of the scalar output at one point.
 
-    Returns (weight_grads, bias_grads, z_grad); used by the
-    finite-difference validation.
+    Returns (weight_grads, bias_grads, z_grad): the training backward
+    (``_batch_backward``) in float64 on one row with d(output) = 1; used
+    by the finite-difference validation.
     """
-    x = np.concatenate([_check_code(params, z), np.asarray(point, dtype=np.float64)])
-    acts = _forward_acts(params, x[None, :])
-    gw, gb, gx = _backward(params, acts, np.ones((1, 1)))
-    return gw, gb, gx[0, : params.latent_dim]
+    codes = _check_code(params, z)[None, :]
+    pts = np.asarray(point, dtype=np.float64).reshape(1, 3)
+    layers = _Layers(params)
+    acts = layers.forward(pts, layers.code_rows(codes))
+    gw, gb, sums = _batch_backward(layers, acts, pts, codes, np.zeros(1, np.int64), np.ones(1))
+    return gw, gb, (sums @ layers.code_weights)[0]
 
 
 def _clamp(a: np.ndarray, delta: float) -> np.ndarray:
     return np.clip(a, -delta, delta)
-
-
-def _loss_terms(pred, target, codes_rows, cfg: TrainConfig):
-    """Clamped-L1 data term with a per-sample code prior.
-
-    Returns the mean loss and d(loss)/d(pred).  The prior contributes
-    lambda * |z|^2 per sample, so its gradient flows through the code
-    of the sample's object.
-    """
-    r = _clamp(pred, cfg.clamp_delta) - _clamp(target, cfg.clamp_delta)
-    data = np.abs(r).mean()
-    prior = cfg.code_prior_weight * np.einsum("nk,nk->n", codes_rows, codes_rows).mean()
-    return data + prior, _clamped_l1_grad(r, pred, cfg.clamp_delta, pred.shape[0])
 
 
 def _clamped_l1_grad(r, pred, delta: float, n: int) -> np.ndarray:
@@ -403,6 +403,70 @@ def _clamped_l1_grad(r, pred, delta: float, n: int) -> np.ndarray:
     r *= np.abs(pred) < delta
     r /= n
     return r
+
+
+def _batch_backward(layers: _Layers, acts, points, codes, obj, dpred):
+    """Weight and bias gradients of a batch, given d(objective)/d(output)
+    per row; (weight grads, bias grads, per-object sums), all float64.
+
+    Row ``r`` holds point ``points[r]`` of object ``obj[r]``, whose code
+    is ``codes[obj[r]]``.  The backward runs in the layers' dtype, down
+    to layer 0's pre-activation, and overwrites ``acts``.  The code half
+    of layer 0 sees each object's code, not each row, so its gradients
+    need only the per-object sums of the rows' layer-0 gradients,
+    ``S``, one product with the one-hot (objects x rows) matrix:
+    ``dW0[:, :L] = S^T codes`` and the bias gradient is the sum of ``S``.
+    Each code's own gradient is its row of ``S @ W0[:, :L]``.
+    """
+    last = len(acts) - 1
+    gw: list[np.ndarray] = [np.empty(0)] * (last + 1)
+    gb: list[np.ndarray] = [np.empty(0)] * (last + 1)
+    grad = dpred[:, None]
+    for i in range(last, 0, -1):
+        gw[i] = (grad.T @ acts[i - 1]).astype(np.float64)
+        gb[i] = grad.sum(axis=0).astype(np.float64)
+        # a product over one column is one rounding per entry: the
+        # broadcast multiply gives the same bits at half the cost
+        w = layers.weights[i - 1]
+        grad = grad * w if i == last else grad @ w
+        slope = acts[i - 1]
+        np.square(slope, out=slope)
+        np.subtract(1.0, slope, out=slope)
+        grad *= slope
+    onehot = (np.arange(codes.shape[0])[:, None] == obj).astype(layers.dtype)
+    sums = (onehot @ grad).astype(np.float64)
+    gw[0] = np.concatenate([sums.T @ codes, (grad.T @ points).astype(np.float64)], axis=1)
+    gb[0] = sums.sum(axis=0)
+    return gw, gb, sums
+
+
+def _batch_loss_gradients(
+    params: DecoderParams, codes, points, target, obj, cfg: TrainConfig, layers: _Layers
+):
+    """Mean loss of one batch and its gradients; (loss, weight grads,
+    bias grads, code grads), all float64.
+
+    The loss is the clamped-L1 data term plus the code prior
+    ``lambda |z|^2`` per row, whose gradient flows to the row's code.
+    Rows are as ``_batch_backward``'s; each object's code half of layer
+    0 is formed once and gathered per row.  The step computes in
+    ``points.dtype``, which ``layers`` must have, on its copy of
+    ``params``' current weights, reloaded here; the loss sums in
+    float64.
+    """
+    layers.load()
+    m = points.shape[0]
+    acts = layers.forward(points, layers.code_rows(codes)[obj])
+    pred = acts[-1][:, 0]
+    r = _clamp(pred, cfg.clamp_delta) - _clamp(target, cfg.clamp_delta)
+    counts = np.bincount(obj, minlength=codes.shape[0])
+    prior = cfg.code_prior_weight * float(counts @ np.einsum("ok,ok->o", codes, codes))
+    loss = (float(np.abs(r).sum(dtype=np.float64)) + prior) / m
+    gw, gb, sums = _batch_backward(
+        layers, acts, points, codes, obj, _clamped_l1_grad(r, pred, cfg.clamp_delta, m)
+    )
+    gz = sums @ layers.code_weights + (2.0 * cfg.code_prior_weight / m) * counts[:, None] * codes
+    return loss, gw, gb, gz
 
 
 @dataclass
@@ -418,8 +482,11 @@ def train_autodecoder(
     """Jointly fit decoder weights and one latent code per object.
 
     Codes start as small Gaussian draws; epochs iterate seeded-shuffled
-    minibatches.  The run is deterministic: a fixed config (including
-    its seed) reproduces parameters bit for bit.
+    minibatches.  Each step computes in float32 on a float32 copy of the
+    weights (``_batch_loss_gradients``); the weights, codes, their
+    velocities and the update stay float64 (mixed-precision training,
+    Micikevicius et al. 2018).  The run is deterministic: a fixed config
+    (including its seed) reproduces parameters bit for bit.
     """
     if not samples_per_object:
         raise InvalidInputError("need at least one object to train on")
@@ -430,17 +497,25 @@ def train_autodecoder(
     n_obj = len(samples_per_object)
     codes = rng.normal(0.0, _CODE_INIT_SIGMA, size=(n_obj, cfg.latent_dim))
 
-    points = np.concatenate([s.points for s in samples_per_object])
-    target = np.concatenate([s.sdf for s in samples_per_object])
+    # the one place that sets the training step's dtype
+    points = np.concatenate([s.points for s in samples_per_object], dtype=np.float32)
+    target = np.concatenate([s.sdf for s in samples_per_object], dtype=np.float32)
     owner = np.concatenate(
         [np.full(len(s), i, dtype=np.int64) for i, s in enumerate(samples_per_object)]
     )
     n = points.shape[0]
 
+    # every weight and bias is a view of one flat array, so a step's
+    # update is a few calls whatever the depth
     tensors = params.weights + params.biases
-    velocities = [np.zeros_like(t) for t in tensors]
+    flat = np.concatenate([t.ravel() for t in tensors])
+    views = np.split(flat, np.cumsum([t.size for t in tensors])[:-1])
+    views = [v.reshape(t.shape) for v, t in zip(views, tensors)]
+    depth = len(params.weights)
+    params = DecoderParams(cfg.latent_dim, tuple(views[:depth]), tuple(views[depth:]))
+    layers = _Layers(params, points.dtype)
+    velocity = np.zeros_like(flat)
     vel_z = np.zeros_like(codes)
-    dims = np.arange(cfg.latent_dim)
     losses: list[float] = []
 
     lr = cfg.learning_rate
@@ -450,28 +525,13 @@ def train_autodecoder(
         epoch_loss = 0.0
         for s in range(0, n, cfg.batch_size):
             batch = perm[s : s + cfg.batch_size]
-            obj = owner[batch]
-            z_rows = codes[obj]
-            x = np.concatenate([z_rows, points[batch]], axis=1)
-            acts = _forward_acts(params, x)
-            pred = acts[-1][:, 0]
-            loss, dpred = _loss_terms(pred, target[batch], z_rows, cfg)
+            loss, gw, gb, gz = _batch_loss_gradients(
+                params, codes, points[batch], target[batch], owner[batch], cfg, layers
+            )
             epoch_loss += loss * batch.shape[0]
-            gw, gb, gx = _backward(params, acts, dpred[:, None])
-            # one scatter-add per code entry: every data term in batch
-            # order, then the prior gradient 2 lambda z per sample,
-            # averaged over the batch
-            idx = (obj[:, None] * cfg.latent_dim + dims).ravel()
-            prior = (2.0 * cfg.code_prior_weight / batch.shape[0]) * z_rows
-            gz = np.bincount(
-                np.concatenate([idx, idx]),
-                weights=np.concatenate([gx[:, : cfg.latent_dim].ravel(), prior.ravel()]),
-                minlength=codes.size,
-            ).reshape(codes.shape)
-            for t, v, g in zip(tensors, velocities, gw + gb):
-                v *= cfg.momentum
-                v -= lr * g
-                t += v
+            velocity *= cfg.momentum
+            velocity -= lr * np.concatenate([g.ravel() for g in gw + gb])
+            flat += velocity
             vel_z *= cfg.momentum
             vel_z -= code_lr * gz
             codes += vel_z
@@ -532,9 +592,9 @@ def infer_latent(
         fixed.set_code(z)
         total = np.zeros(params.weights[0].shape[0])
         for (s, e), first in zip(blocks, firsts):
-            acts = fixed.layers(first)
+            acts = fixed.layers(first, fixed.code_tile(e - s))
             pred = acts[-1][:, 0]
-            # _loss_terms' d(loss)/d(pred); inference needs no loss value
+            # the training loss's d(loss)/d(pred); inference needs no loss value
             r = _clamp(pred, cfg.clamp_delta) - target[s:e]
             block = fixed.code_grad(acts, _clamped_l1_grad(r, pred, cfg.clamp_delta, n))
             if block is not None:

@@ -424,6 +424,8 @@ def load_layers(path, magic: bytes, prefix: str):
     weights, biases = [], []
     while f"{prefix}{len(weights)}.weight" in tensors:
         i = len(weights)
+        if f"{prefix}{i}.bias" not in tensors:
+            raise InvalidInputError(f"{prefix}{i}.weight has no {prefix}{i}.bias in {path}")
         weights.append(tensors[f"{prefix}{i}.weight"])
         biases.append(tensors[f"{prefix}{i}.bias"])
     return tuple(weights), tuple(biases), tensors.get("codes")

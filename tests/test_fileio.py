@@ -350,3 +350,21 @@ def test_container_without_its_model_layers_rejected(
     with pytest.raises(InvalidInputError) as info:
         load(path)
     assert str(info.value) == f"{message} {path}"
+
+
+@pytest.mark.parametrize(
+    "name, magic, prefix, load",
+    [
+        ("decoder.rbsd", DECODER_MAGIC, "layer", load_decoder),
+        ("mirror.rbmr", MIRROR_MAGIC, "conv", load_mirror_model),
+    ],
+    ids=["decoder", "mirror"],
+)
+def test_layer_without_its_bias_names_file_and_tensor(tmp_path, name, magic, prefix, load):
+    tensors = fileio.load_tensors(FIXTURES / name, magic)
+    del tensors[f"{prefix}1.bias"]
+    path = tmp_path / name
+    fileio.save_tensors(path, magic, tensors)
+    with pytest.raises(InvalidInputError) as info:
+        load(path)
+    assert str(info.value) == f"{prefix}1.weight has no {prefix}1.bias in {path}"
