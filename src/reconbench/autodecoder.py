@@ -14,21 +14,25 @@ point product plus each row's code half, ``W0[:, :L] @ z + b0``.
 Training gathers that half per row from one row per object; every pass
 with a fixed code (``decoder_forward``, ``decoder_gradient``, grid
 decoding and latent inference) holds one, in ``_FixedCode``.
-Grid decoding screens the grid in float32 and computes float64 values,
-and the Newton step's gradients from the same pass, only where a proven
-error margin cannot rule a point out, so its output is the all-float64
-one bit for bit (see ``reconstruct``): there float32 only decides which
-points get float64 values.  Latent inference runs in float32, as the
-reference implementation does; its float32 values are the gradient
-itself, so its code differs from a float64 loop's by rounding (a test
-bounds the distance on the trained benchmark decoder).  Training steps
-in float32 too, with float64 master weights and codes, so its decoder
-differs from a float64 loop's by rounding (a test bounds the distance
-on the benchmark's training samples).  ``decoder_forward``,
-``decoder_gradient`` and ``decoder_output_gradients`` run in float64.
+Grid decoding first drops whole boxes of grid points whose float64
+range bound (affine arithmetic over each box) lies beyond the band, at
+grid 64 and above; it screens the rest in float32 and computes float64
+values, and the Newton step's gradients from the same pass, only where
+a proven error margin cannot rule a point out, so its output is the
+all-float64 one bit for bit (see ``reconstruct``): there the bound and
+float32 only decide which points get float64 values.  Latent inference
+runs in float32, as the reference implementation does; its float32
+values are the gradient itself, so its code differs from a float64
+loop's by rounding (a test bounds the distance on the trained benchmark
+decoder).  Training steps in float32 too, with float64 master weights
+and codes, so its decoder differs from a float64 loop's by rounding (a
+test bounds the distance on the benchmark's training samples).
+``decoder_forward``, ``decoder_gradient`` and
+``decoder_output_gradients`` run in float64.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -45,6 +49,7 @@ from .sdf import (
     SdfSamples,
     default_iso_epsilon,
     extract_surface_points,
+    grid_axis,
 )
 
 LatentCode = np.ndarray
@@ -68,6 +73,20 @@ _TANH_ERR = {np.float32: 2.0**-22, np.float64: 2.0**-40}
 
 # standard deviation of the Gaussian draws that start each training code
 _CODE_INIT_SIGMA = 0.01
+
+# The grid decode's range pass splits the grid into _RANGE_BOXES boxes
+# per axis and runs where a box spans at least _RANGE_MIN_SPAN grid
+# points per axis (grid 64 and above); with smaller boxes it keeps most
+# of the grid, or costs more than the screen it saves.
+_RANGE_BOXES = 16
+_RANGE_MIN_SPAN = 4
+# boxes per block of the range pass: each block's arrays stay cache-sized
+_RANGE_CHUNK = 256
+# a tanh enclosure whose secant slope lies below this takes slope 0, so
+# the interior extremes it evaluates are well conditioned
+_RANGE_MIN_SLOPE = 2.0**-20
+# float64 unit roundoff
+_UNIT = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -664,6 +683,233 @@ def _screen_field(params: DecoderParams, z: LatentCode) -> SdfField:
     return lambda p: fixed.evaluate(p)[0]
 
 
+def _shaped(flat: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading entries of the work array ``flat`` as a C-contiguous
+    array of ``shape``."""
+    return flat[: math.prod(shape)].reshape(shape)
+
+
+def _abs_sum(planes: np.ndarray, out: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """The sum of the planes' magnitudes, in plane order, into ``out``;
+    ``part`` is scratch."""
+    np.abs(planes[0], out=out)
+    for plane in planes[1:]:
+        out += np.abs(plane, out=part)
+    return out
+
+
+def _affine_bounds(aff, radius, lo, hi, reach):
+    """Bounds ``lo`` and ``hi`` on the affine forms ``aff`` (centres,
+    then one coefficient per axis) with ``radius``, rounded outward, and
+    ``reach``, the centre's magnitude plus the spread, with ``max(|lo|,
+    |hi|) <= (1 + 10u) reach``; written into the arrays given.  The
+    spread widens by ``8u reach``, which covers its own rounding and
+    each end's."""
+    spread = _abs_sum(aff[1:], hi, lo)
+    spread += radius
+    np.abs(aff[0], out=reach)
+    reach += spread
+    spread += np.multiply(reach, 8.0 * _UNIT, out=lo)
+    np.subtract(aff[0], spread, out=lo)
+    np.add(aff[0], spread, out=hi)
+    return lo, hi, reach
+
+
+def _affine_linear(w, b, aff, radius, out, radius_out, work) -> None:
+    """A linear layer on affine forms, into ``out`` and ``radius_out``:
+    exact on centres and coefficients, through ``|W|`` on the radius,
+    which also takes the layer's rounding (see ``_box_ranges``);
+    ``work`` holds two arrays shaped like ``radius``."""
+    g = 4.0 * (w.shape[1] + 8) * _UNIT
+    mag = _abs_sum(aff, work[0], work[1])
+    mag += radius
+    mag *= g
+    mag += radius
+    np.matmul(mag, np.abs(w).T, out=radius_out)
+    radius_out += g * np.abs(b)
+    np.matmul(aff, w.T, out=out)
+    out[0] += b
+
+
+def _affine_tanh(aff, radius, work) -> None:
+    """tanh on affine forms by its Chebyshev linear enclosure over each
+    form's range (see ``_box_ranges``), in place; ``work`` holds twelve
+    arrays shaped like ``radius``."""
+    lo, hi, reach, t_lo, t_hi, slope, root, crit, g, g_max, g_min, x = work
+    _affine_bounds(aff, radius, lo, hi, reach)
+    np.tanh(lo, out=t_lo)
+    np.tanh(hi, out=t_hi)
+    np.subtract(t_hi, t_lo, out=slope)
+    slope /= np.subtract(hi, lo, out=x)
+    # any slope in [0, 1] is sound: 0/0 takes 1, and a slope too small
+    # for a well-conditioned crit takes 0
+    np.fmin(slope, 1.0, out=slope)
+    slope *= slope >= _RANGE_MIN_SLOPE
+    # g(x) = tanh(x) - slope x over [lo, hi]: its maximum lies at an end
+    # or at +crit, its minimum at an end or at -crit, where tanh is
+    # +-root; tanh of a point clipped to [lo, hi] is its tanh clipped to
+    # [tanh(lo), tanh(hi)]
+    np.subtract(1.0, slope, out=root)
+    np.sqrt(root, out=root)
+    np.arctanh(root, out=crit)
+    np.subtract(t_lo, np.multiply(slope, lo, out=x), out=g)
+    np.subtract(t_hi, np.multiply(slope, hi, out=x), out=g_min)
+    np.maximum(g, g_min, out=g_max)
+    np.minimum(g, g_min, out=g_min)
+    for extreme, best in ((g_max, np.maximum), (g_min, np.minimum)):
+        if extreme is g_min:
+            np.negative(crit, out=crit)
+            np.negative(root, out=root)
+        np.maximum(crit, lo, out=x)
+        np.minimum(x, hi, out=x)
+        x *= slope
+        np.maximum(root, t_lo, out=g)
+        np.minimum(g, t_hi, out=g)
+        g -= x
+        best(extreme, g, out=extreme)
+    aff *= slope
+    aff[0] += np.multiply(np.add(g_max, g_min, out=x), 0.5, out=x)
+    g_max -= g_min
+    g_max *= 0.5
+    radius *= slope
+    radius += g_max
+    # the rounding allowance, with each unit's largest reach
+    radius += 20.0 * _TANH_ERR[np.float64] + 32.0 * _UNIT * (1.0 + reach.max(axis=0))
+
+
+def _box_ranges(
+    params: DecoderParams, z: LatentCode, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (low, high), each (B,), on the exact decoder output under
+    code ``z`` at every point ``lo[i] <= p <= hi[i]`` of each box; ``lo``
+    and ``hi`` are (B, 3).  Affine-arithmetic range analysis (Sharp and
+    Jacobson 2022) in float64; an overflow or a NaN on the way gives a
+    bound that is not finite.
+
+    Each unit holds an affine form over one noise symbol per axis,
+    ``e`` in [-1, 1]^3: a centre ``c``, coefficients ``a_k`` and a radius
+    ``r >= 0``, such that the unit's exact value at every point ``p`` of
+    the box lies within ``r`` of ``c + a.e(p)``, with ``e(p)`` the same
+    for every unit.  ``aff`` stacks centres and coefficients, (4, B, n).
+
+    - Layer 0 is exact: with the box's centre ``m`` and half widths
+      ``h``, ``p = m + h e``, so ``c = W0p m + W0[:, :L] z + b0`` and
+      ``a_k = h_k W0p[:, k]`` (``W0p`` the point columns).
+    - A linear layer maps centres and coefficients exactly and the
+      radius through ``|W|``.
+    - tanh on the form's range [lo, hi] takes the Chebyshev (min-max)
+      linear enclosure: with ``s`` the secant slope, tanh(x) = s x +
+      g(x), and g, odd, rises on [-x*, x*] and falls outside, x* =
+      atanh(sqrt(1 - s)); so its maximum over [lo, hi] lies at an end or
+      at x*, its minimum at an end or at -x*, and the form becomes
+      ``s c + (g_max + g_min) / 2``, ``s a_k``, ``s r + (g_max - g_min) /
+      2``.  Any ``s`` in [0, 1] gives a valid enclosure with its own g;
+      below ``_RANGE_MIN_SLOPE`` it is 0 and the range [tanh(lo),
+      tanh(hi)].
+
+    Rounding goes into the radius.  With ``u = 2**-53`` and ``gamma_n =
+    n u / (1 - n u)``: ``n`` products plus a bias, summed in any order
+    with or without fused multiply-adds, err by at most ``gamma_{n+1}``
+    times the sum of the terms' magnitudes, and a computed sum of
+    nonnegative terms is at least ``1 - gamma`` of the exact one.
+
+    - Layer 0, fan-in ``n = L + 3``: the centre (code half included) and
+      the coefficients err by at most ``(gamma_{n+1} + u) T0``, ``T0 =
+      |W0[:, :L]| |z| + |b0| + |W0p| P`` with ``P`` the box's largest
+      |coordinate| per axis; the computed ``m`` and ``h`` cover the box
+      but for ``2 u P`` per axis, which ``|W0p|`` maps to at most ``2 u
+      T0``.  The radius ``4 (n + 8) u T0`` covers both twice over.
+    - A linear layer of fan-in ``n``: the centres and, as ``|e| <= 1``,
+      the coefficients err by at most ``gamma_{n+1} T``, ``T = |W| M +
+      |b|`` with ``M = |c| + sum_k |a_k| + r``.  The radius is formed as
+      ``|W| (r + g M) + g |b|``, ``g = 4 (n + 8) u``, nonnegative terms
+      whose computed sum is at least ``|W| r + gamma_{n+1} T``, since
+      ``|W| r <= T``.
+    - tanh: [lo, hi] is rounded outward (``_affine_bounds``), and ``X
+      = max(|lo|, |hi|)``, so ``|g| <= 1 + s X`` there.  An end's g errs
+      by at most ``_TANH_ERR + 2.01 u (1 + s X)``.  At x* the pass takes
+      tanh(x*) = sqrt(1 - s) clipped to the ends' tanh, less s times x*
+      clipped to [lo, hi].  When x* lies in [lo, hi], the first errs by
+      at most ``_TANH_ERR``, as tanh(x*) lies between the ends' exact
+      tanh.  For ``s >= 2**-20`` the computed x* lies within ``4 u / s +
+      8 _TANH_ERR`` of x*: the square root errs by at most ``2u``,
+      atanh's slope below it is at most ``2 / s`` and its value at most
+      8, and atanh is assumed within ``_TANH_ERR`` of exact as tanh is.
+      So that g value errs by at most ``9 _TANH_ERR + 6.01 u (1 + s
+      X)``, and where x* lies outside, the value is one more point's g
+      (or an end's), which only widens the range.  The midpoint, the
+      half width, ``s c`` and ``s a_k`` err by ``6.01 u (1 + s X)``
+      more.  The radius adds ``20 _TANH_ERR + 32 u (1 + R)``, ``R`` the
+      unit's largest ``reach`` over the boxes (``X <= (1 + 10u) R``),
+      which covers these and its own rounding.
+
+    Underflow adds at most ``2**-1074`` per operation.  That is far
+    inside the ``20 _TANH_ERR`` each tanh step adds, and a linear layer's
+    spare half of ``g T`` covers it unless ``T < 2**-1000``; at the last
+    layer such a ``T`` leaves the range far inside the band, where no box
+    is dropped.
+    """
+    z = _check_code(params, z)
+    latent = params.latent_dim
+    w0, b0 = params.weights[0], params.biases[0]
+    point = w0[:, latent:]
+    low, high = np.empty(lo.shape[0]), np.empty(lo.shape[0])
+    # every work array is allocated once (block-sized temporaries made
+    # per operation cost up to half as much again in page faults); each
+    # layer reads one of the two forms and radii and writes the other
+    width = max(w.shape[0] for w in params.weights)
+    flat = [np.empty(_RANGE_CHUNK * width) for _ in range(12)]
+    flat_radii = [np.empty(_RANGE_CHUNK * width) for _ in range(2)]
+    flat_forms = [np.empty(4 * _RANGE_CHUNK * width) for _ in range(2)]
+    with np.errstate(all="ignore"):
+        code = w0[:, :latent] @ z + b0
+        code_terms = np.abs(w0[:, :latent]) @ np.abs(z) + np.abs(b0)
+        for s in range(0, lo.shape[0], _RANGE_CHUNK):
+            box_lo, box_hi = lo[s:s + _RANGE_CHUNK], hi[s:s + _RANGE_CHUNK]
+            m, n = box_lo.shape[0], w0.shape[0]
+            aff, radius = _shaped(flat_forms[0], 4, m, n), _shaped(flat_radii[0], m, n)
+            np.matmul((box_lo + box_hi) / 2.0, point.T, out=aff[0])
+            aff[0] += code
+            half = (box_hi - box_lo) / 2.0
+            np.multiply(half.T[:, :, None], point.T[:, None, :], out=aff[1:])
+            np.matmul(np.maximum(np.abs(box_lo), np.abs(box_hi)), np.abs(point).T, out=radius)
+            radius += code_terms
+            radius *= 4.0 * (w0.shape[1] + 8) * _UNIT
+            for i, (w, b) in enumerate(zip(params.weights[1:], params.biases[1:])):
+                work = [_shaped(f, m, aff.shape[2]) for f in flat]
+                _affine_tanh(aff, radius, work)
+                out = _shaped(flat_forms[(i + 1) % 2], 4, m, w.shape[0])
+                radius_out = _shaped(flat_radii[(i + 1) % 2], m, w.shape[0])
+                _affine_linear(w, b, aff, radius, out, radius_out, work)
+                aff, radius = out, radius_out
+            ends = _affine_bounds(aff, radius, *(_shaped(f, m, 1) for f in flat[:3]))
+            low[s:s + m], high[s:s + m] = ends[0][:, 0], ends[1][:, 0]
+    return low, high
+
+
+def _live_grid_points(
+    params: DecoderParams, z: LatentCode, resolution: int, threshold: float
+) -> np.ndarray:
+    """A mask over the decode grid, in grid order, that is false only
+    on points whose exact decoder output provably lies beyond
+    ``threshold`` in magnitude.
+
+    The grid splits into ``_RANGE_BOXES`` boxes of near-equal point
+    counts per axis; a box whose ``_box_ranges`` bounds are finite and
+    lie wholly above ``threshold`` or below ``-threshold`` is dropped.
+    """
+    axis = grid_axis(resolution)
+    edges = np.arange(_RANGE_BOXES + 1) * resolution // _RANGE_BOXES
+    first, last = axis[edges[:-1]], axis[edges[1:] - 1]
+    corners = [np.stack(np.meshgrid(c, c, c, indexing="ij"), axis=-1).reshape(-1, 3)
+               for c in (first, last)]
+    low, high = _box_ranges(params, z, *corners)
+    dropped = np.isfinite(low) & np.isfinite(high) & ((low > threshold) | (high < -threshold))
+    owner = np.repeat(np.arange(_RANGE_BOXES), np.diff(edges))
+    boxes = ~dropped.reshape((_RANGE_BOXES,) * 3)
+    return boxes[np.ix_(owner, owner, owner)].ravel()
+
+
 def _kept_pass(
     params: DecoderParams, z: LatentCode, iso_epsilon: float
 ) -> tuple[SdfField, SdfGradient]:
@@ -692,25 +938,42 @@ def reconstruct(
 
     Equal bit for bit to ``extract_surface_points`` on
     ``decoder_forward`` with ``decoder_gradient`` as its
-    ``gradient_fn``, at a fraction of its cost: a float32 pass
-    (``_screen_field``) screens the grid, and only points whose float32
-    value lies within the extraction band widened by ``_screen_margin``
-    get float64 values.  The margin bounds the two passes' distance at
-    any grid point, so a point the screen drops has a float64 value
-    outside the band.  Both passes are ``_FixedCode``'s forward, in float32 and in
-    float64.  The float64 pass runs once per kept point
-    (``_kept_pass``): the Newton step's gradients come from the same
-    pass's activations, exact because the point backward contracts over
-    the point columns only.  A code of the wrong length raises
-    ``InvalidInputError``.
+    ``gradient_fn``, at a fraction of its cost.  Where a range-pass box
+    spans at least ``_RANGE_MIN_SPAN`` grid points per axis (grid 64 and
+    above), a float64 range pass (``_live_grid_points``) first drops the
+    boxes whose finite bounds on the exact output lie beyond ``t``,
+    ``iso_epsilon + margin`` rounded up, with ``margin`` the screen's
+    ``_screen_margin``.  At every point of such a box the float64 pass's
+    value lies within ``E64 = _forward_error_bound(.., float64)`` of the
+    exact one, hence beyond ``t - E64 >= iso_epsilon`` as ``margin >=
+    E64``: no dropped point is a candidate.  A float32 pass
+    (``_screen_field``) then screens the remaining points, and only
+    points whose float32 value lies within the extraction band widened
+    by the margin get float64 values.  The margin bounds the two passes'
+    distance at any grid point, so a point the screen drops has a
+    float64 value outside the band.  Both passes are ``_FixedCode``'s
+    forward, in float32 and in float64, on points in grid order.  The
+    float64 pass runs once per kept point (``_kept_pass``): the Newton
+    step's gradients come from the same pass's activations, exact
+    because the point backward contracts over the point columns only.
+    A code of the wrong length raises ``InvalidInputError`` before any
+    pass runs.
     """
-    z = np.asarray(z, dtype=np.float64)
-    field, gradient = _kept_pass(params, z, default_iso_epsilon(grid_resolution))
+    z = _check_code(params, z)
+    iso_epsilon = default_iso_epsilon(grid_resolution)
+    margin = _screen_margin(params, z)
+    live = None
+    if grid_resolution // _RANGE_BOXES >= _RANGE_MIN_SPAN:
+        live = _live_grid_points(
+            params, z, grid_resolution, np.nextafter(iso_epsilon + margin, np.inf)
+        )
+    field, gradient = _kept_pass(params, z, iso_epsilon)
     pts = extract_surface_points(
         field,
         grid_resolution,
         gradient_fn=gradient,
-        screen=(_screen_field(params, z), _screen_margin(params, z)),
+        screen=(_screen_field(params, z), margin),
+        live=live,
     )
     return PointCloud.from_points(pts, TAG_GENERATED)
 

@@ -298,8 +298,11 @@ def default_iso_epsilon(resolution: int) -> float:
     return 2.0 * (2.0 * GRID_RADIUS / resolution)
 
 
-def evaluate_on_grid(sdf_fn: SdfField, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate a field on the decode grid; returns (points, values).
+def evaluate_on_grid(
+    sdf_fn: SdfField, resolution: int, live: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate a field on the decode grid, or on the grid points where
+    the mask ``live`` is true; returns (points, values).
 
     Points are ordered lexicographically by (ix, iy, iz), which fixes
     the output order of everything built on top.
@@ -310,6 +313,8 @@ def evaluate_on_grid(sdf_fn: SdfField, resolution: int) -> tuple[np.ndarray, np.
     pts[..., 1] = axis[:, None]
     pts[..., 2] = axis
     pts = pts.reshape(-1, 3)
+    if live is not None:
+        pts = pts[live]
     vals = np.empty(pts.shape[0])
     for s in range(0, pts.shape[0], _GRID_CHUNK):
         e = min(pts.shape[0], s + _GRID_CHUNK)
@@ -335,6 +340,7 @@ def extract_surface_points(
     resolution: int,
     gradient_fn: SdfGradient | None = None,
     screen: tuple[SdfField, float] | None = None,
+    live: np.ndarray | None = None,
 ) -> np.ndarray:
     """Grid points near the zero level set, refined one Newton step.
 
@@ -349,17 +355,21 @@ def extract_surface_points(
 
     ``screen``, when given, is a cheaper field and a margin that bounds
     its distance from ``sdf_fn`` at every grid point.  The screen is
-    evaluated on the whole grid, and ``sdf_fn`` is called once, on the
+    evaluated on the grid, and ``sdf_fn`` is called once, on the
     points in grid order whose screen value lies within iso_epsilon plus
     the margin or is not finite.  A dropped point has |sdf| > iso_epsilon,
     so the result is the one the whole grid would give.
+
+    ``live``, when given, is a mask over the grid points in grid order
+    that is false only where |sdf| > iso_epsilon is known; neither field
+    is evaluated there, and the result is again the whole grid's.
     """
     iso_epsilon = default_iso_epsilon(resolution)
     if screen is None:
-        pts, vals = evaluate_on_grid(sdf_fn, resolution)
+        pts, vals = evaluate_on_grid(sdf_fn, resolution, live)
     else:
         screen_fn, margin = screen
-        pts, rough = evaluate_on_grid(screen_fn, resolution)
+        pts, rough = evaluate_on_grid(screen_fn, resolution, live)
         kept = ~np.isfinite(rough) | (np.abs(rough) <= iso_epsilon + margin)
         pts = pts[kept]
         vals = np.asarray(sdf_fn(pts), dtype=np.float64)

@@ -1,5 +1,6 @@
 """Latent-code decoder: forward math, gradients, training, inference,
 and persistence."""
+import itertools
 import math
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from reconbench import autodecoder, bench
 from reconbench.autodecoder import (
     _CODE_INIT_SIGMA,
+    _RANGE_BOXES,
     _ROW_ALIGN,
     _ROW_BLOCK,
     _TANH_ERR,
@@ -17,7 +19,11 @@ from reconbench.autodecoder import (
     _clamp,
     _clamped_l1_grad,
     _FixedCode,
+    _affine_linear,
+    _affine_tanh,
+    _box_ranges,
     _kept_pass,
+    _live_grid_points,
     _row_blocks,
     _screen_field,
     _screen_margin,
@@ -180,6 +186,7 @@ class TestForward:
             lambda: decoder_forward(params, code[:15], pts),
             lambda: decoder_gradient(params, code[:15], pts),
             lambda: reconstruct(params, code[:15], grid_resolution=8),
+            lambda: reconstruct(params, code[:15], grid_resolution=64),
             lambda: decoder_output_gradients(params, code[:15], pts[0]),
             lambda: infer_latent(params, obs, TrainConfig(), init=code[:15]),
         )
@@ -937,15 +944,155 @@ class TestScreen:
         assert 0 < len(cloud) <= kept < res**3 // 2
         assert sum(rows) <= kept + _ROW_ALIGN - 1
 
-    @pytest.mark.parametrize("res", [5, 7, 9, 16, 32, 33, 64])
+    @pytest.mark.parametrize("res", [5, 7, 9, 16, 32, 33, 64, 65, 80])
     def test_reconstruct_equals_the_unscreened_pass(self, res, rng):
         spread = spread_decoder()
         product, code = product_decoder()
         cases = [(product, np.zeros(16)), (product, code), (spread, np.zeros(16)),
                  (spread, code), (spread, rng.normal(0.0, 0.3, size=16))]
-        for params, z in cases:
+        # past grid 64, one case per decoder keeps the test quick
+        for params, z in cases if res <= 64 else cases[1::3]:
             cloud = reconstruct(params, z, grid_resolution=res)
             assert np.array_equal(cloud.points, unscreened(params, z, res))
+
+
+def box_samples(lo, hi, rng, interior: int) -> np.ndarray:
+    """Each box's eight corners and ``interior`` uniform points inside
+    it, (B, 8 + interior, 3)."""
+    bits = np.array(list(itertools.product((0, 1), repeat=3)), dtype=bool)
+    corners = np.where(bits[None], hi[:, None], lo[:, None])
+    inner = lo[:, None] + (hi - lo)[:, None] * rng.random((len(lo), interior, 3))
+    return np.concatenate([corners, inner], axis=1)
+
+
+def faulty_decoder(fault: str) -> DecoderParams:
+    """The product decoder with one fault the range pass must survive."""
+    params, _ = product_decoder()
+    weights, biases = list(params.weights), list(params.biases)
+    if fault == "nan_bias":
+        biases[2] = biases[2].copy()
+        biases[2][5] = np.nan
+    elif fault == "huge_weight":
+        weights[1] = weights[1].copy()
+        weights[1][3, 7] *= 1e300
+    else:
+        # a row whose sum of magnitudes overflows
+        weights[1] = weights[1].copy()
+        weights[1][3] = 1e308
+    return DecoderParams(16, tuple(weights), tuple(biases))
+
+
+def outcome(run):
+    """A call's points, or its error's type and message."""
+    try:
+        with np.errstate(all="ignore"):
+            return run()
+    except Exception as err:  # compared with the other call, not handled
+        return type(err), str(err)
+
+
+class TestRangePass:
+    @pytest.mark.parametrize("which", ["product", "spread", "x10", "x100"])
+    def test_sampled_values_lie_in_the_range(self, which, rng):
+        params = {
+            "product": product_decoder()[0],
+            "spread": spread_decoder(),
+            "x10": scaled_decoder(0, 10.0),
+            "x100": scaled_decoder(1, 100.0),
+        }[which]
+        for z in (np.zeros(16), rng.normal(0.0, 0.1, size=16)):
+            lo = rng.uniform(-GRID_RADIUS, GRID_RADIUS, size=(200, 3))
+            hi = np.minimum(lo + rng.uniform(0.0, 0.4, size=(200, 3)), GRID_RADIUS)
+            # points and segments among the boxes
+            hi[:10] = lo[:10]
+            hi[10:20, :2] = lo[10:20, :2]
+            low, high = _box_ranges(params, z, lo, hi)
+            assert np.all(np.isfinite(low)) and np.all(low <= high)
+            pts = box_samples(lo, hi, rng, 24)
+            values = decoder_forward(params, z, pts.reshape(-1, 3)).reshape(len(lo), -1)
+            assert np.all(low[:, None] <= values) and np.all(values <= high[:, None])
+
+    @pytest.mark.parametrize("step", ["tanh", "linear"])
+    def test_each_step_encloses_its_exact_values(self, step, rng):
+        # forms of 40 boxes over 8 units; every sampled point of a box
+        # (one noise value per axis, one radius draw per unit) must map
+        # into the step's output form at the same noise values
+        boxes, units = 40, 8
+        aff = np.empty((4, boxes, units))
+        aff[0] = rng.uniform(-3.0, 3.0, size=(boxes, units))
+        aff[1:] = rng.uniform(-0.4, 0.4, size=(3, boxes, units))
+        radius = rng.uniform(0.0, 0.05, size=(boxes, units))
+        w, b = rng.normal(size=(6, units)), rng.normal(size=6)
+        e = rng.uniform(-1.0, 1.0, size=(500, 1, 3))
+        e[:8] = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))[:, None]
+        x = aff[0] + np.einsum("sbk,kbn->sbn", e, aff[1:])
+        x += radius * rng.uniform(-1.0, 1.0, size=(500, boxes, units))
+        work = [np.empty((boxes, units)) for _ in range(12)]
+        if step == "tanh":
+            exact = np.tanh(x)
+            _affine_tanh(aff, radius, work)
+            out, r = aff, radius
+        else:
+            exact = x @ w.T + b
+            out, r = np.empty((4, boxes, 6)), np.empty((boxes, 6))
+            _affine_linear(w, b, aff, radius, out, r, work)
+        centre = out[0] + np.einsum("sbk,kbn->sbn", e, out[1:])
+        assert np.all(np.abs(exact - centre) <= r)
+
+    def test_screen_visits_under_two_fifths_of_the_grid(self, monkeypatch):
+        params, z = product_decoder()
+        rows = {np.float32: 0, np.float64: 0}
+        forward = _FixedCode.forward
+
+        def counted(fixed, points, code_rows):
+            rows[fixed.dtype] += len(points)
+            return forward(fixed, points, code_rows)
+
+        monkeypatch.setattr(_FixedCode, "forward", counted)
+        reconstruct(params, z, grid_resolution=64)
+        assert 0 < rows[np.float64] < rows[np.float32] <= 0.4 * 64**3
+
+    @pytest.mark.parametrize("res,runs", [(32, 0), (63, 0), (64, 1)])
+    def test_runs_from_grid_64(self, res, runs, monkeypatch):
+        calls = []
+        box_ranges = autodecoder._box_ranges
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return box_ranges(*args)
+
+        monkeypatch.setattr(autodecoder, "_box_ranges", counted)
+        params, z = product_decoder()
+        reconstruct(params, z, grid_resolution=res)
+        assert calls == [_RANGE_BOXES**3] * runs
+
+    def test_boxes_with_non_finite_bounds_are_kept(self, monkeypatch):
+        # every box lies beyond the threshold but the first four, whose
+        # bounds are not finite
+        low = np.full(_RANGE_BOXES**3, 5.0)
+        high = np.full(_RANGE_BOXES**3, 6.0)
+        low[:4] = [np.inf, -np.inf, 5.0, np.nan]
+        high[:4] = [np.inf, -np.inf, np.inf, np.nan]
+        monkeypatch.setattr(autodecoder, "_box_ranges", lambda *args: (low, high))
+        params, z = product_decoder()
+        live = _live_grid_points(params, z, 64, 1.0).reshape(64, 64, 64)
+        expect = np.zeros((64, 64, 64), dtype=bool)
+        expect[:4, :4, :16] = True
+        assert np.array_equal(live, expect)
+
+    @pytest.mark.parametrize("fault", ["nan_bias", "huge_weight", "overflow"])
+    def test_faulty_decoders_match_the_unscreened_pass(self, fault):
+        params = faulty_decoder(fault)
+        _, z = product_decoder()
+        if fault != "huge_weight":
+            corners = np.full((1, 3), -GRID_RADIUS), np.full((1, 3), GRID_RADIUS)
+            assert not np.isfinite(outcome(lambda: _box_ranges(params, z, *corners))[0][0])
+        got = outcome(lambda: reconstruct(params, z, grid_resolution=64).points)
+        want = outcome(lambda: unscreened(params, z, 64))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
 
 
 class TestViewSamples:

@@ -416,6 +416,25 @@ class TestExtraction:
         assert np.array_equal(seen[0], grid[band | ~np.isfinite(values)])
         assert len(seen[0]) < 0.6 * len(grid)
 
+    @pytest.mark.parametrize("screened", [False, True])
+    def test_live_mask_skips_points_outside_the_band(self, screened):
+        # the mask drops only points outside the band, so the result is
+        # the whole grid's; neither field sees a dropped point
+        grid, values = evaluate_on_grid(box_sdf, 16)
+        live = np.abs(values) <= default_iso_epsilon(16) + 0.05
+        assert 0 < live.sum() < 0.5 * len(grid)
+        seen = []
+
+        def field(p):
+            seen.append(p.copy())
+            return box_sdf(p)
+
+        screen = (field, 0.0) if screened else None
+        pts = extract_surface_points(field, 16, screen=screen, live=live)
+        assert np.array_equal(pts, extract_surface_points(box_sdf, 16))
+        assert np.array_equal(seen[0], grid[live])
+        assert np.array_equal(evaluate_on_grid(box_sdf, 16, live)[1], values[live])
+
     def test_mesh_field_end_to_end(self, unit_sphere):
         pts = extract_surface_points(lambda p: signed_distances(p, unit_sphere), 32)
         d = unsigned_distances(pts, unit_sphere)
