@@ -658,6 +658,8 @@ def parse_report_csv(text: str) -> Report:
 class TimingResult:
     mirror_ms: float
     sdf_ms: float
+    # points in the timed grid reconstruction
+    sdf_points: int
 
     @property
     def ratio(self) -> float:
@@ -677,8 +679,9 @@ def time_methods(
     the depth image ``observed``, taken by camera ``cam``.
 
     Mirror time covers learned completion plus fusion; SDF time covers
-    one grid reconstruction with the latent held fixed.  Nothing is
-    read or rendered here, so no disk access or rendering is timed.
+    one grid reconstruction with the latent held fixed, whose point
+    count the result also holds.  Nothing is read or rendered here, so
+    no disk access or rendering is timed.
     """
     if repetitions < 1:
         raise InvalidInputError("repetitions must be at least 1")
@@ -688,9 +691,10 @@ def time_methods(
     for _ in range(repetitions):
         _, ms = _timed(mirror.reconstruct_view_dependent, observed, cam, completion)
         mirror_times.append(ms)
-        _, ms = _timed(autodecoder.reconstruct, decoder_params, latent, grid_resolution)
+        cloud, ms = _timed(autodecoder.reconstruct, decoder_params, latent, grid_resolution)
         sdf_times.append(ms)
     return TimingResult(
         mirror_ms=statistics.median(mirror_times),
         sdf_ms=statistics.median(sdf_times),
+        sdf_points=len(cloud),
     )

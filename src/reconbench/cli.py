@@ -202,6 +202,7 @@ def _cmd_bench_time(args) -> int:
     )
     print(f"mirror completion+fusion median: {result.mirror_ms:.3f} ms")
     print(f"sdf grid-{cfg.grid_resolution} reconstruction median: {result.sdf_ms:.3f} ms")
+    print(f"sdf grid-{cfg.grid_resolution} reconstruction points: {result.sdf_points}")
     print(f"ratio (sdf / mirror): {result.ratio:.2f}x")
     return 0
 

@@ -416,8 +416,9 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
         return cloud
     keys = _voxel_keys(cloud.points, voxel_size)
     first, inverse, counts = _voxel_groups(keys)
-    sums = np.zeros((counts.shape[0], 3))
-    np.add.at(sums, inverse, cloud.points)
+    # bincount adds each voxel's points in input order, as np.add.at does
+    sums = np.stack([np.bincount(inverse, weights=cloud.points[:, k], minlength=counts.shape[0])
+                     for k in range(3)], axis=1)
     centroids = sums / counts[:, None]
     order = np.argsort(first, kind="stable")
     return PointCloud(centroids[order], cloud.tags[first[order]])

@@ -305,16 +305,18 @@ def evaluate_on_grid(
     the mask ``live`` is true; returns (points, values).
 
     Points are ordered lexicographically by (ix, iy, iz), which fixes
-    the output order of everything built on top.
+    the output order of everything built on top.  With a mask, only the
+    live points' coordinates are formed, from their grid indices.
     """
     axis = grid_axis(resolution)
-    pts = np.empty((resolution, resolution, resolution, 3))
-    pts[..., 0] = axis[:, None, None]
-    pts[..., 1] = axis[:, None]
-    pts[..., 2] = axis
-    pts = pts.reshape(-1, 3)
-    if live is not None:
-        pts = pts[live]
+    if live is None:
+        pts = np.empty((resolution, resolution, resolution, 3))
+        pts[..., 0] = axis[:, None, None]
+        pts[..., 1] = axis[:, None]
+        pts[..., 2] = axis
+        pts = pts.reshape(-1, 3)
+    else:
+        pts = axis[np.argwhere(np.reshape(live, (resolution,) * 3))]
     vals = np.empty(pts.shape[0])
     for s in range(0, pts.shape[0], _GRID_CHUNK):
         e = min(pts.shape[0], s + _GRID_CHUNK)

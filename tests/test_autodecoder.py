@@ -1,5 +1,6 @@
 """Latent-code decoder: forward math, gradients, training, inference,
 and persistence."""
+import decimal
 import itertools
 import math
 from pathlib import Path
@@ -21,9 +22,11 @@ from reconbench.autodecoder import (
     _FixedCode,
     _affine_linear,
     _affine_tanh,
+    _beyond,
     _box_ranges,
     _kept_pass,
     _live_grid_points,
+    _range_allowance,
     _row_blocks,
     _screen_field,
     _screen_margin,
@@ -52,6 +55,7 @@ from reconbench.sdf import (
     default_iso_epsilon,
     evaluate_on_grid,
     extract_surface_points,
+    grid_axis,
     numeric_gradient,
     sample_training_set,
     signed_distances,
@@ -875,6 +879,29 @@ class TestScreen:
         exact = np.array([math.tanh(v) for v in x])
         assert np.all(np.abs(np.tanh(x) - exact) <= _TANH_ERR[np.float64] * np.abs(exact))
 
+    def test_float32_arctanh_within_assumed_error(self):
+        # every float32 in [2**-12, 1): the range pass takes arctanh of
+        # sqrt(1 - s) for a float32 s in [0, 1], which is 0 or at least
+        # sqrt(2**-24); arctanh is odd, so the negative inputs match
+        bits = np.float32([2.0**-12, 1.0]).view(np.uint32)
+        worst = 0.0
+        for s in range(int(bits[0]), int(bits[1]), 1 << 22):
+            x = np.arange(s, min(int(bits[1]), s + (1 << 22)), dtype=np.uint32).view(np.float32)
+            exact = np.arctanh(x.astype(np.float64))
+            worst = max(worst, float(np.max(np.abs(np.arctanh(x) - exact) / exact)))
+        assert worst <= _TANH_ERR[np.float32]
+        assert np.arctanh(np.float32(0.0)) == 0.0
+
+    def test_float64_arctanh_within_assumed_error(self, rng):
+        # against 40-digit decimal logarithms, over (0, 1) and down to 2**-27
+        x = np.concatenate([rng.uniform(0.0, 1.0, size=2_000),
+                            2.0 ** rng.uniform(-27.0, 0.0, size=2_000)])
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            exact = np.array([float(((1 + decimal.Decimal(v)) / (1 - decimal.Decimal(v))).ln() / 2)
+                              for v in x])
+        assert np.all(np.abs(np.arctanh(x) - exact) <= _TANH_ERR[np.float64] * exact)
+
     @pytest.mark.parametrize("factor", [1.0, 10.0, 100.0])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_margin_bounds_the_float32_distance(self, factor, seed, rng):
@@ -1000,13 +1027,15 @@ class TestRangePass:
             "x10": scaled_decoder(0, 10.0),
             "x100": scaled_decoder(1, 100.0),
         }[which]
-        for z in (np.zeros(16), rng.normal(0.0, 0.1, size=16)):
+        for dtype, z in itertools.product(
+            (np.float32, np.float64), (np.zeros(16), rng.normal(0.0, 0.1, size=16))
+        ):
             lo = rng.uniform(-GRID_RADIUS, GRID_RADIUS, size=(200, 3))
             hi = np.minimum(lo + rng.uniform(0.0, 0.4, size=(200, 3)), GRID_RADIUS)
             # points and segments among the boxes
             hi[:10] = lo[:10]
             hi[10:20, :2] = lo[10:20, :2]
-            low, high = _box_ranges(params, z, lo, hi)
+            low, high = _box_ranges(params, z, lo, hi, dtype)
             assert np.all(np.isfinite(low)) and np.all(low <= high)
             pts = box_samples(lo, hi, rng, 24)
             values = decoder_forward(params, z, pts.reshape(-1, 3)).reshape(len(lo), -1)
@@ -1014,30 +1043,39 @@ class TestRangePass:
 
     @pytest.mark.parametrize("step", ["tanh", "linear"])
     def test_each_step_encloses_its_exact_values(self, step, rng):
-        # forms of 40 boxes over 8 units; every sampled point of a box
-        # (one noise value per axis, one radius draw per unit) must map
-        # into the step's output form at the same noise values
+        # forms of 40 boxes over 8 units, in each dtype; every sampled
+        # point of a box (one noise value per axis, one radius draw per
+        # unit) must map into the step's output form at the same noise
+        # values.  The exact values are float64 on the forms as given,
+        # and a linear step's are those of the float64 weights it rounds.
+        # The first ten forms are points, where only the step's rounding
+        # allowance covers its rounding
         boxes, units = 40, 8
-        aff = np.empty((4, boxes, units))
-        aff[0] = rng.uniform(-3.0, 3.0, size=(boxes, units))
-        aff[1:] = rng.uniform(-0.4, 0.4, size=(3, boxes, units))
-        radius = rng.uniform(0.0, 0.05, size=(boxes, units))
-        w, b = rng.normal(size=(6, units)), rng.normal(size=6)
-        e = rng.uniform(-1.0, 1.0, size=(500, 1, 3))
-        e[:8] = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))[:, None]
-        x = aff[0] + np.einsum("sbk,kbn->sbn", e, aff[1:])
-        x += radius * rng.uniform(-1.0, 1.0, size=(500, boxes, units))
-        work = [np.empty((boxes, units)) for _ in range(12)]
-        if step == "tanh":
-            exact = np.tanh(x)
-            _affine_tanh(aff, radius, work)
-            out, r = aff, radius
-        else:
-            exact = x @ w.T + b
-            out, r = np.empty((4, boxes, 6)), np.empty((boxes, 6))
-            _affine_linear(w, b, aff, radius, out, r, work)
-        centre = out[0] + np.einsum("sbk,kbn->sbn", e, out[1:])
-        assert np.all(np.abs(exact - centre) <= r)
+        for dtype in (np.float32, np.float64):
+            aff = np.empty((4, boxes, units), dtype)
+            aff[0] = rng.uniform(-3.0, 3.0, size=(boxes, units))
+            aff[1:] = rng.uniform(-0.4, 0.4, size=(3, boxes, units))
+            radius = rng.uniform(0.0, 0.05, size=(boxes, units)).astype(dtype)
+            aff[1:, :10] = 0.0
+            radius[:10] = 0.0
+            w, b = rng.normal(size=(6, units)), rng.normal(size=6)
+            e = rng.uniform(-1.0, 1.0, size=(500, 1, 3))
+            e[:8] = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))[:, None]
+            x = aff[0] + np.einsum("sbk,kbn->sbn", e, aff[1:].astype(np.float64))
+            x += radius * rng.uniform(-1.0, 1.0, size=(500, boxes, units))
+            work = [np.empty((boxes, units), dtype) for _ in range(12)]
+            if step == "tanh":
+                exact = np.tanh(x)
+                # a point form's slope can reach 0, whose x* is infinite
+                with np.errstate(divide="ignore"):
+                    _affine_tanh(aff, radius, work)
+                out, r = aff, radius
+            else:
+                exact = x @ w.T + b
+                out, r = np.empty((4, boxes, 6), dtype), np.empty((boxes, 6), dtype)
+                _affine_linear(w.astype(dtype), b.astype(dtype), aff, radius, out, r, work)
+            centre = out[0] + np.einsum("sbk,kbn->sbn", e, out[1:].astype(np.float64))
+            assert np.all(np.abs(exact - centre) <= r)
 
     def test_screen_visits_under_two_fifths_of_the_grid(self, monkeypatch):
         params, z = product_decoder()
@@ -1054,31 +1092,81 @@ class TestRangePass:
 
     @pytest.mark.parametrize("res,runs", [(32, 0), (63, 0), (64, 1)])
     def test_runs_from_grid_64(self, res, runs, monkeypatch):
+        # at grid 64, one float32 pass over every box, then one float64
+        # pass over exactly the boxes it keeps within the allowance of
+        # the threshold; below grid 64, no pass
         calls = []
         box_ranges = autodecoder._box_ranges
 
-        def counted(*args):
-            calls.append(len(args[2]))
-            return box_ranges(*args)
+        def counted(params, z, lo, hi, dtype):
+            bounds = box_ranges(params, z, lo, hi, dtype)
+            calls.append((dtype, lo, bounds))
+            return bounds
 
         monkeypatch.setattr(autodecoder, "_box_ranges", counted)
         params, z = product_decoder()
         reconstruct(params, z, grid_resolution=res)
-        assert calls == [_RANGE_BOXES**3] * runs
+        if not runs:
+            assert calls == []
+            return
+        (first, lo, (low, high)), (second, near_lo, _) = calls
+        assert (first, len(lo), second) == (np.float32, _RANGE_BOXES**3, np.float64)
+        threshold = np.nextafter(
+            default_iso_epsilon(64) + _screen_margin(params, z), np.inf
+        )
+        slack = _range_allowance(params, z, np.float32)
+        near = ~_beyond(low, high, threshold) & (
+            (low > threshold - slack) | (high < slack - threshold)
+        )
+        assert 0 < near.sum() < 0.1 * len(lo)
+        assert np.array_equal(near_lo, lo[near])
 
     def test_boxes_with_non_finite_bounds_are_kept(self, monkeypatch):
-        # every box lies beyond the threshold but the first four, whose
-        # bounds are not finite
-        low = np.full(_RANGE_BOXES**3, 5.0)
-        high = np.full(_RANGE_BOXES**3, 6.0)
-        low[:4] = [np.inf, -np.inf, 5.0, np.nan]
-        high[:4] = [np.inf, -np.inf, np.inf, np.nan]
-        monkeypatch.setattr(autodecoder, "_box_ranges", lambda *args: (low, high))
+        # every box lies beyond the threshold in float32 but the first
+        # eight: four with bounds that are not finite, four just inside
+        # it.  The float64 pass sees those eight; a box it finds beyond
+        # the threshold is dropped, one with a bound that is not finite
+        # or inside the threshold is kept
+        boxes = _RANGE_BOXES**3
+        low32, high32 = np.full(boxes, 5.0), np.full(boxes, 6.0)
+        low32[:8] = [np.inf, -np.inf, 5.0, np.nan, 1.0, 1.0, 1.0, 1.0]
+        high32[:8] = [np.inf, -np.inf, np.inf, np.nan, 6.0, 6.0, 6.0, 6.0]
+        low64 = np.array([5.0, np.nan, 5.0, -6.0, np.inf, 5.0, 1.0, -np.inf])
+        high64 = np.array([6.0, np.nan, np.inf, -5.0, np.inf, 6.0, 6.0, -5.0])
+        seen = []
+
+        def stub(params, z, lo, hi, dtype):
+            seen.append((dtype, lo.copy()))
+            return (low32, high32) if dtype == np.float32 else (low64, high64)
+
+        monkeypatch.setattr(autodecoder, "_box_ranges", stub)
         params, z = product_decoder()
         live = _live_grid_points(params, z, 64, 1.0).reshape(64, 64, 64)
+        assert [dtype for dtype, _ in seen] == [np.float32, np.float64]
+        assert np.array_equal(seen[1][1], seen[0][1][:8])
         expect = np.zeros((64, 64, 64), dtype=bool)
-        expect[:4, :4, :16] = True
+        for box in (1, 2, 4, 6, 7):
+            expect[:4, :4, 4 * box:4 * box + 4] = True
         assert np.array_equal(live, expect)
+
+    @pytest.mark.parametrize("code", ["zero", "training"])
+    def test_trained_decoder_drops_no_band_point(self, code):
+        # the benchmark's decoder at grid 64: every point the mask drops
+        # lies outside the band, and the mask is the float64 pass's alone
+        params, codes = load_decoder(FIXTURE_DECODER)
+        z = np.zeros(16) if code == "zero" else codes[11]
+        iso_epsilon = default_iso_epsilon(64)
+        threshold = np.nextafter(iso_epsilon + _screen_margin(params, z), np.inf)
+        live = _live_grid_points(params, z, 64, threshold)
+        assert 0.2 < live.mean() < 0.5
+        pts, _ = evaluate_on_grid(lambda p: np.zeros(len(p)), 64)
+        assert np.all(np.abs(decoder_forward(params, z, pts[~live])) > iso_epsilon)
+        axis = grid_axis(64)
+        first, last = axis[0::4], axis[3::4]
+        corners = [np.stack(np.meshgrid(c, c, c, indexing="ij"), axis=-1).reshape(-1, 3)
+                   for c in (first, last)]
+        dropped = _beyond(*_box_ranges(params, z, *corners, np.float64), threshold)
+        assert np.array_equal(live.reshape(64, 64, 64)[::4, ::4, ::4].ravel(), ~dropped)
 
     @pytest.mark.parametrize("fault", ["nan_bias", "huge_weight", "overflow"])
     def test_faulty_decoders_match_the_unscreened_pass(self, fault):
@@ -1086,7 +1174,9 @@ class TestRangePass:
         _, z = product_decoder()
         if fault != "huge_weight":
             corners = np.full((1, 3), -GRID_RADIUS), np.full((1, 3), GRID_RADIUS)
-            assert not np.isfinite(outcome(lambda: _box_ranges(params, z, *corners))[0][0])
+            for dtype in (np.float32, np.float64):
+                bounds = outcome(lambda: _box_ranges(params, z, *corners, dtype))
+                assert not np.isfinite(bounds[0][0])
         got = outcome(lambda: reconstruct(params, z, grid_resolution=64).points)
         want = outcome(lambda: unscreened(params, z, 64))
         if isinstance(want, tuple):

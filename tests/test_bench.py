@@ -27,7 +27,7 @@ from reconbench.bench import (
     write_results,
 )
 from reconbench.cli import main
-from reconbench.autodecoder import load_decoder
+from reconbench.autodecoder import load_decoder, reconstruct
 from reconbench.config import BenchConfig, load_config
 from reconbench.depth import render_depth
 from reconbench.errors import InvalidInputError, MissingArtifactError
@@ -517,7 +517,7 @@ class TestConfig:
 
 class TestTiming:
     def test_ratio(self):
-        assert TimingResult(mirror_ms=2.0, sdf_ms=10.0).ratio == pytest.approx(5.0)
+        assert TimingResult(mirror_ms=2.0, sdf_ms=10.0, sdf_points=7).ratio == pytest.approx(5.0)
 
     def test_repetitions_must_be_positive(self, unit_sphere, front_camera):
         from reconbench.autodecoder import TrainConfig, init_decoder
@@ -785,6 +785,15 @@ class TestCli:
         (out / "can" / "test" / "000" / "mesh.obj").unlink()
         assert main(["bench-time", "--out", str(out), "--config", str(cfg)]) == 0
         assert "ratio (sdf / mirror):" in capsys.readouterr().out
+
+    def test_bench_time_prints_the_decoded_point_count(self, trained_ws, capsys):
+        ws, cfg = trained_ws
+        assert main(["bench-time", "--out", str(ws), "--config", str(cfg)]) == 0
+        params, _ = load_decoder(ws / "models" / "decoder.rbsd")
+        grid = load_config(cfg).grid_resolution
+        count = len(reconstruct(params, np.zeros(params.latent_dim), grid))
+        lines = capsys.readouterr().out.splitlines()
+        assert f"sdf grid-{grid} reconstruction points: {count}" in lines
 
     def test_oversized_decoder_header_is_an_input_error(self, trained_ws, tmp_path, capsys):
         ws, cfg = trained_ws

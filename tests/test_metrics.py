@@ -378,6 +378,21 @@ class TestVoxelDownsample:
         assert np.array_equal(once.points, twice.points)
         assert np.array_equal(once.tags, twice.tags)
 
+    @pytest.mark.parametrize("size", [0.05, 0.3, 2.0])
+    def test_sums_equal_the_add_at_sums(self, size, rng):
+        # many points per voxel, in no particular order: the centroids are
+        # the sequential np.add.at sums over the counts, bit for bit
+        points = rng.uniform(-1.0, 1.0, size=(3000, 3)) * rng.uniform(0.1, 10.0, size=(1, 3))
+        points[1500:] = points[rng.integers(0, 1500, size=1500)]
+        keys = metrics._voxel_keys(points, size)
+        first, inverse, counts = metrics._voxel_groups(keys)
+        assert counts.max() > 2
+        sums = np.zeros((len(counts), 3))
+        np.add.at(sums, inverse, points)
+        order = np.argsort(first, kind="stable")
+        out = voxel_downsample(PointCloud.from_points(points), size)
+        assert np.array_equal(out.points, (sums / counts[:, None])[order])
+
     def test_invalid_size(self, rng):
         with pytest.raises(InvalidInputError):
             voxel_downsample(PointCloud.from_points(rng.normal(size=(3, 3))), 0.0)

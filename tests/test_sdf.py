@@ -316,6 +316,16 @@ class TestGrid:
         gx, gy, gz = np.meshgrid(*[grid_axis(res)] * 3, indexing="ij")
         assert np.array_equal(pts, np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1))
 
+    @pytest.mark.parametrize("res", [2, 7, 64])
+    def test_masked_rows_equal_the_whole_grid_rows(self, res):
+        pts, vals = evaluate_on_grid(box_sdf, res)
+        rng = np.random.default_rng(res)
+        for live in (rng.random(res**3) < 0.3, np.ones(res**3, bool), np.zeros(res**3, bool)):
+            masked_pts, masked_vals = evaluate_on_grid(box_sdf, res, live)
+            assert masked_pts.shape == (live.sum(), 3)
+            assert np.array_equal(masked_pts, pts[live])
+            assert np.array_equal(masked_vals, vals[live])
+
     def test_grid_values_match_field(self, unit_box):
         pts, vals = evaluate_on_grid(lambda p: signed_distances(p, unit_box), 8)
         assert np.array_equal(vals, signed_distances(pts, unit_box))
