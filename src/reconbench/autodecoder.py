@@ -10,7 +10,9 @@ around the surface so supervision concentrates where it matters.
 Everything is plain numpy with hand-written backpropagation; gradients
 are validated against finite differences in the test suite.  Every
 pass runs one layer stack, ``_Layers``, whose first layer is a 3-column
-point product plus each row's code half, ``W0[:, :L] @ z + b0``.
+point product plus each row's code half, ``W0[:, :L] @ z + b0``, and
+whose one backward gives training's weight gradients, latent
+inference's code gradient and the Newton step's point gradients.
 Training gathers that half per row from one row per object; every pass
 with a fixed code (``decoder_forward``, ``decoder_gradient``, grid
 decoding and latent inference) holds one, in ``_FixedCode``.
@@ -195,7 +197,7 @@ def _check_code(params: DecoderParams, z: LatentCode) -> np.ndarray:
 
 class _Layers:
     """The decoder's layers in ``dtype`` over one block of rows: the one
-    forward pass of every decoder pass, training included.
+    forward and backward pass of every decoder pass, training included.
 
     Layer 0 splits in two.  Each point costs a 3-column product with a
     contiguous copy of ``W0[:, L:]``; the code half plus the bias,
@@ -204,7 +206,7 @@ class _Layers:
     row.  Every later bias is added from a row tile of it, which gives
     the bits of a broadcast add at about half the cost.  The tiles and
     the layer buffers grow to the largest block seen and serve every
-    later one, so a pass allocates no block-sized array.
+    later one, so a forward pass allocates no block-sized array.
 
     The weights are copied in ``dtype`` when the stack is built and by
     ``load``, which training calls once per step; the parameters stay
@@ -267,6 +269,31 @@ class _Layers:
         self.outs = self._grow(self.outs, m)
         return self.layers(np.matmul(points, self.point.T, out=self.outs[0][:m]), rows)
 
+    def backward(self, acts, grad: np.ndarray, weight_grads=None, spare=None) -> np.ndarray:
+        """d(objective)/d(layer 0's pre-activation) per row, from
+        d(objective)/d(output), ``grad``, per row (m, 1) or shared (1, 1),
+        and the rows' hidden-layer outputs ``acts`` (as ``layers``), which
+        it overwrites.  With a pair of per-layer lists and a per-row
+        ``grad``, it also sets entries 1 and up to those layers' weight
+        and bias gradients in float64 (layer 0's need its inputs).  Each
+        carried product goes to a fresh array, or to the caller's free
+        buffer in ``spare``, which keeps it in cache."""
+        last = len(self.weights)
+        for i in range(last, 0, -1):
+            slope = acts[i - 1]
+            if weight_grads is not None:
+                weight_grads[0][i] = (grad.T @ slope).astype(np.float64)
+                weight_grads[1][i] = grad.sum(axis=0).astype(np.float64)
+            # a product over one column is one rounding per entry: the
+            # broadcast multiply gives the same bits at half the cost
+            product = np.multiply if i == last else np.matmul
+            np.square(slope, out=slope)
+            np.subtract(1.0, slope, out=slope)
+            out = None if spare is None else spare[i - 1][: grad.shape[0]]
+            slope *= product(grad, self.weights[i - 1], out=out)
+            grad = slope
+        return grad
+
 
 class _FixedCode(_Layers):
     """The decoder with its latent code held fixed, evaluated in ``dtype``:
@@ -308,27 +335,11 @@ class _FixedCode(_Layers):
         return self.tile[:m]
 
     def point_grads(self, acts: list[np.ndarray]) -> np.ndarray:
-        """Gradient of the output with respect to the query point, (m, 3),
-        from one block's activations, which it overwrites.
-
-        The output's gradient times the last layer is a product over one
-        column, formed as a broadcast multiply, and the last contraction
-        runs over the point columns of layer 0 only.
-        """
-        last = len(acts) - 1
-        if last == 0:
-            return np.broadcast_to(self.point, (acts[0].shape[0], 3))
-        grad = None
-        for i in range(last - 1, -1, -1):
-            np.square(acts[i], out=acts[i])
-            np.subtract(1.0, acts[i], out=acts[i])
-            if grad is None:
-                grad = acts[i]
-                grad *= self.weights[-1]
-            else:
-                grad = grad @ self.weights[i]
-                grad *= acts[i]
-        return grad @ self.point
+        """Gradient of the output with respect to the query point, (m, 3)
+        (one row all rows share if the decoder has no hidden layer), from
+        one block's activations, which it overwrites: the backward from
+        d(output) = 1 times layer 0's point columns."""
+        return self.backward(acts, np.ones((1, 1), self.dtype)) @ self.point
 
     def code_grad(self, acts: list[np.ndarray], dpred: np.ndarray) -> np.ndarray | None:
         """The sum over one block's rows of d(objective)/d(layer 0's
@@ -350,19 +361,10 @@ class _FixedCode(_Layers):
             live = np.array([live[0], (live[0] + 1) % dpred.shape[0]])
         k = live.size
         self.gathered = self._grow(self.gathered, k)
-        grad = dpred[live, None]
-        last = len(acts) - 1
-        for i in range(last - 1, -1, -1):
-            # layer i's activations, once gathered, leave its buffer free
-            # for the product carried into it
-            rows = np.take(acts[i], live, axis=0, out=self.gathered[i][:k], mode="clip")
-            product = np.multiply if i == last - 1 else np.matmul
-            grad = product(grad, self.weights[i], out=acts[i][:k])
-            np.square(rows, out=rows)
-            np.subtract(1.0, rows, out=rows)
-            rows *= grad
-            grad = rows
-        return grad.sum(axis=0)
+        rows = [np.take(a, live, axis=0, out=g[:k], mode="clip")
+                for a, g in zip(acts, self.gathered)]
+        # the block's own buffers are free once gathered
+        return self.backward(rows, dpred[live, None], spare=acts).sum(axis=0)
 
     def evaluate(self, points, with_grads: bool = False):
         """Values at ``points`` in ``_row_blocks``, and with ``with_grads``
@@ -439,21 +441,9 @@ def _batch_backward(layers: _Layers, acts, points, codes, obj, dpred):
     ``dW0[:, :L] = S^T codes`` and the bias gradient is the sum of ``S``.
     Each code's own gradient is its row of ``S @ W0[:, :L]``.
     """
-    last = len(acts) - 1
-    gw: list[np.ndarray] = [np.empty(0)] * (last + 1)
-    gb: list[np.ndarray] = [np.empty(0)] * (last + 1)
-    grad = dpred[:, None]
-    for i in range(last, 0, -1):
-        gw[i] = (grad.T @ acts[i - 1]).astype(np.float64)
-        gb[i] = grad.sum(axis=0).astype(np.float64)
-        # a product over one column is one rounding per entry: the
-        # broadcast multiply gives the same bits at half the cost
-        w = layers.weights[i - 1]
-        grad = grad * w if i == last else grad @ w
-        slope = acts[i - 1]
-        np.square(slope, out=slope)
-        np.subtract(1.0, slope, out=slope)
-        grad *= slope
+    gw: list[np.ndarray] = [np.empty(0)] * len(acts)
+    gb: list[np.ndarray] = [np.empty(0)] * len(acts)
+    grad = layers.backward(acts, dpred[:, None], (gw, gb))
     onehot = (np.arange(codes.shape[0])[:, None] == obj).astype(layers.dtype)
     sums = (onehot @ grad).astype(np.float64)
     gw[0] = np.concatenate([sums.T @ codes, (grad.T @ points).astype(np.float64)], axis=1)

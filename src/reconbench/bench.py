@@ -274,7 +274,11 @@ def _load_meta(inst_dir: Path) -> dict:
 
 def load_view(inst_dir: Path, view: int) -> tuple[DepthImage, CameraModel]:
     stem = inst_dir / "views" / f"view_{view:02d}"
-    image = DepthImage(load_pfm(stem.with_suffix(".pfm")))
+    depth = load_pfm(stem.with_suffix(".pfm"))
+    try:
+        image = DepthImage(depth)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{exc} in {stem.with_suffix('.pfm')}") from None
     cam = load_camera(stem.with_suffix(".cam"))
     return image, cam
 
@@ -286,9 +290,9 @@ def load_view(inst_dir: Path, view: int) -> tuple[DepthImage, CameraModel]:
 def _instance_samples(inst_dir: Path, cfg: BenchConfig) -> SdfSamples:
     """SDF samples for one instance, cached beside the mesh.
 
-    The cache is reused only when it loads and its stored header equals
-    the one the current config would write; otherwise the samples are
-    regenerated.
+    The cache is reused only when it loads, its stored header equals the
+    one the current config would write and its records are valid
+    ``SdfSamples``; otherwise the samples are regenerated.
     """
     meta = _load_meta(inst_dir)
     sample_seed = int(
@@ -309,10 +313,10 @@ def _instance_samples(inst_dir: Path, cfg: BenchConfig) -> SdfSamples:
     if cache.exists():
         try:
             points, sdf_vals, stored = load_samples(cache)
+            if stored == header:
+                return SdfSamples(points, sdf_vals)
         except InvalidInputError:
-            stored = None
-        if stored == header:
-            return SdfSamples(points, sdf_vals)
+            pass
     samples = sample_training_set(load_obj(inst_dir / "mesh.obj"), scfg)
     save_samples(cache, samples.points, samples.sdf, header)
     return samples
@@ -675,8 +679,9 @@ def time_methods(
     grid_resolution: int = 64,
     repetitions: int = 5,
 ) -> TimingResult:
-    """Median single-threaded wall time per object for both methods on
-    the depth image ``observed``, taken by camera ``cam``.
+    """Median wall time per object for both methods on the depth image
+    ``observed``, taken by camera ``cam``, with numpy's BLAS on as many
+    threads as the environment gives it (the CLI does not pin them).
 
     Mirror time covers learned completion plus fusion; SDF time covers
     one grid reconstruction with the latent held fixed, whose point

@@ -236,6 +236,8 @@ class SdfSamples:
         vals = np.asarray(self.sdf, dtype=np.float64)
         if vals.shape != (pts.shape[0],):
             raise InvalidInputError("sdf values must match points one to one")
+        if not np.all(np.isfinite(vals)):
+            raise InvalidInputError("sdf values contain non-finite values")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "sdf", vals)
 

@@ -734,6 +734,54 @@ class TestBlockedKernels:
         assert np.array_equal(cloud.points, exact)
 
 
+def assert_close(got, want, rel: float = 1e-12) -> None:
+    """``got`` within ``rel`` of ``want``'s largest magnitude, entrywise."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+class TestSharedBackward:
+    """``_Layers.backward``, which training, latent inference and the
+    Newton step share, against the reference ``backward`` on the stacked
+    network, in float64."""
+
+    @pytest.mark.parametrize("rows", ["all live", "live subset", "dpred one"])
+    def test_matches_the_reference_backward(self, rows, rng):
+        params, z = product_decoder()
+        n, latent = 200, params.latent_dim
+        pts = rng.uniform(-GRID_RADIUS, GRID_RADIUS, size=(n, 3))
+        dpred = np.ones(n) if rows == "dpred one" else rng.normal(size=n)
+        if rows == "live subset":
+            dpred[rng.random(n) < 0.7] = 0.0
+        x = stacked(z, pts)
+        ref_acts = forward_acts(params, x)
+        ref_w, ref_b, ref_x = backward(params, ref_acts, dpred[:, None])
+        # a one-row backward's layer-0 bias gradient is that row's
+        # d(objective)/d(layer 0's pre-activation)
+        ref_rows = np.stack([
+            backward(params, [a[r : r + 1] for a in ref_acts], dpred[r : r + 1, None])[1][0]
+            for r in range(n)
+        ])
+
+        fixed = _FixedCode(params, z)
+        got_w, got_b = [None] * len(params.weights), [None] * len(params.biases)
+        acts = fixed.forward(pts, fixed.code_tile(n))
+        got_rows = fixed.backward(acts, dpred[:, None], (got_w, got_b))
+        assert_close(got_rows, ref_rows)
+        got_w[0], got_b[0] = got_rows.T @ x, got_rows.sum(axis=0)
+        for got, want in zip(got_w + got_b, ref_w + ref_b):
+            assert got.dtype == np.float64
+            assert_close(got, want)
+
+        # the two callers with a fixed code: the live rows' sum, and the
+        # point gradients
+        code_sum = fixed.code_grad(fixed.forward(pts, fixed.code_tile(n)), dpred)
+        assert_close(code_sum, ref_b[0])
+        if rows == "dpred one":
+            grads = fixed.point_grads(fixed.forward(pts, fixed.code_tile(n)))
+            assert_close(grads, ref_x[:, latent:])
+
+
 # the trained decoder the benchmark's evaluate workload decodes with
 FIXTURE_DECODER = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "decoder.rbsd"
 

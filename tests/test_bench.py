@@ -31,7 +31,7 @@ from reconbench.autodecoder import load_decoder, reconstruct
 from reconbench.config import BenchConfig, load_config
 from reconbench.depth import render_depth
 from reconbench.errors import InvalidInputError, MissingArtifactError
-from reconbench.fileio import load_obj, load_pfm
+from reconbench.fileio import load_obj, load_pfm, save_pfm
 from reconbench.metrics import VoxelFilterConfig
 from reconbench.mirror import load_mirror_model
 from reconbench.sdf import GRID_RADIUS, NEAR_SURFACE_FRACTION, SURFACE_NOISE_SIGMA
@@ -751,6 +751,23 @@ class TestCli:
         assert err.startswith("error:") and name.split("/")[-1] in err
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("value", [np.nan, -1.0])
+    def test_bad_depth_view_names_its_file(self, tmp_path, capsys, value):
+        cfg = str(_write_speed_cfg(tmp_path / "speed.cfg"))
+        out = tmp_path / "ws"
+        base = ["--out", str(out), "--config", cfg]
+        gen = ["gen-data", "--categories", "can", "--train-count", "0", "--test-count", "1"]
+        assert main(gen + base) == 0
+        capsys.readouterr()
+        path = out / "can" / "test" / "000" / "views" / "view_00.pfm"
+        depth = load_pfm(path)
+        depth[0, 0] = value
+        save_pfm(path, depth)
+        assert main(["evaluate", "--methods", "mirror_oracle"] + base) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "view_00.pfm" in err
+        assert not (out / "results.csv").exists()
+
     @pytest.mark.parametrize(
         "name, text, command, expect",
         [
@@ -897,6 +914,25 @@ class TestCli:
         cache.write_bytes(whole[:300])
         assert main(["train-sdf"] + base) == 0
         assert cache.read_bytes() == whole
+        capsys.readouterr()
+
+    def test_non_finite_sample_cache_is_regenerated(self, tmp_path, capsys):
+        cfg = str(_write_speed_cfg(tmp_path / "speed.cfg"))
+        out = str(tmp_path / "ws")
+        base = ["--out", out, "--config", cfg]
+        gen = ["gen-data", "--categories", "can", "--train-count", "1", "--test-count", "0"]
+        assert main(gen + base) == 0
+        assert main(["train-sdf"] + base) == 0
+        cache = Path(out) / "can" / "train" / "000" / "sdf_samples.bin"
+        whole = cache.read_bytes()
+        # the last record's distance, a little-endian float64, made NaN
+        cache.write_bytes(whole[:-8] + np.array([np.nan], "<f8").tobytes())
+        assert main(["train-sdf"] + base) == 0
+        assert cache.read_bytes() == whole
+        params, codes = load_decoder(Path(out) / "models" / "decoder.rbsd")
+        assert all(np.all(np.isfinite(t)) for t in (*params.weights, *params.biases, *codes))
+        losses = json.loads((Path(out) / "models" / "decoder_losses.json").read_text())
+        assert np.all(np.isfinite(losses["epoch_losses"]))
         capsys.readouterr()
 
     def test_training_loss_curves_are_saved(self, tmp_path, capsys, monkeypatch):

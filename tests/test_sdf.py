@@ -292,6 +292,9 @@ class TestSampling:
     def test_samples_validation(self):
         with pytest.raises(InvalidInputError):
             SdfSamples(np.zeros((3, 3)), np.zeros(2))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                SdfSamples(np.zeros((2, 3)), np.array([0.0, bad]))
 
 
 class TestGrid:
