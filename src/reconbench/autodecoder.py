@@ -16,13 +16,19 @@ inference's code gradient and the Newton step's point gradients.
 Training gathers that half per row from one row per object; every pass
 with a fixed code (``decoder_forward``, ``decoder_gradient``, grid
 decoding and latent inference) holds one, in ``_FixedCode``.
-Grid decoding first drops whole boxes of grid points whose range bound
-(affine arithmetic over each box, in float32, rechecked in float64
-where float32's rounding allowance may decide) lies beyond the band, at
-grid 64 and above; it screens the rest in float32 and computes float64
-values, and the Newton step's gradients from the same pass, only where
-a proven error margin cannot rule a point out, so its output is the
-all-float64 one bit for bit (see ``reconstruct``): there the bound and
+Grid decoding (``reconstruct``) runs four passes in order:
+
+1. the range pass, at grid 64 and above, drops whole boxes of grid
+   points whose range bound (affine arithmetic over each box, in
+   float32, rechecked in float64 where float32's rounding allowance may
+   decide) lies beyond the band;
+2. the float32 screen keeps the remaining points that a proven error
+   margin cannot rule out;
+3. one float64 pass gives the kept points' values and the Newton step's
+   gradients;
+4. the Newton step moves the points within the band.
+
+So its output is the all-float64 one bit for bit: the bound and
 float32 only decide which points get float64 values.  Latent inference
 runs in float32, as the reference implementation does; its float32
 values are the gradient itself, so its code differs from a float64
@@ -48,11 +54,11 @@ from .geometry import TAG_GENERATED, CameraModel, PointCloud
 from .sdf import (
     GRID_RADIUS,
     SdfField,
-    SdfGradient,
     SdfSamples,
     default_iso_epsilon,
-    extract_surface_points,
+    evaluate_on_grid,
     grid_axis,
+    newton_step,
 )
 
 LatentCode = np.ndarray
@@ -970,27 +976,6 @@ def _live_grid_points(
     return boxes[np.ix_(owner, owner, owner)].ravel()
 
 
-def _kept_pass(
-    params: DecoderParams, z: LatentCode, iso_epsilon: float
-) -> tuple[SdfField, SdfGradient]:
-    """``decoder_forward`` on the grid points the screen keeps, and
-    ``decoder_gradient`` on the candidates among them, those with
-    ``|value| <= iso_epsilon``, from one float64 pass.  A row's value and
-    gradient do not depend on the call (see ``_FixedCode.evaluate``), so
-    both equal the whole-grid pass's bit for bit."""
-    fixed = _FixedCode(params, z)
-    kept: dict[str, np.ndarray] = {}
-
-    def field(points: np.ndarray) -> np.ndarray:
-        kept["values"], kept["grads"] = fixed.evaluate(points, with_grads=True)
-        return kept["values"]
-
-    def gradient(cand: np.ndarray) -> np.ndarray:
-        return kept["grads"][np.abs(kept["values"]) <= iso_epsilon]
-
-    return field, gradient
-
-
 def reconstruct(
     params: DecoderParams, z: LatentCode, grid_resolution: int = 64
 ) -> PointCloud:
@@ -998,28 +983,35 @@ def reconstruct(
 
     Equal bit for bit to ``extract_surface_points`` on
     ``decoder_forward`` with ``decoder_gradient`` as its
-    ``gradient_fn``, at a fraction of its cost.  Where a range-pass box
-    spans at least ``_RANGE_MIN_SPAN`` grid points per axis (grid 64 and
-    above), a range pass (``_live_grid_points``: float32 on every box,
-    float64 on the few it keeps by less than its rounding allowance)
-    first drops the boxes whose finite bounds on the exact output lie
-    beyond ``t``, ``iso_epsilon + margin`` rounded up, with ``margin``
-    the screen's ``_screen_margin``.  On the benchmark's decoder it
-    rechecks 100-200 of 4096 boxes at grid 64 and drops the same boxes
-    as a float64 pass over all of them, in a little over half its time.
-    At every point of a dropped box the float64 pass's value lies within
-    ``E64 = _forward_error_bound(.., float64)`` of the exact one, hence
-    beyond ``t - E64 >= iso_epsilon`` as ``margin >= E64``: no dropped
-    point is a candidate.  A float32 pass
-    (``_screen_field``) then screens the remaining points, and only
-    points whose float32 value lies within the extraction band widened
-    by the margin get float64 values.  The margin bounds the two passes'
-    distance at any grid point, so a point the screen drops has a
-    float64 value outside the band.  Both passes are ``_FixedCode``'s
-    forward, in float32 and in float64, on points in grid order.  The
-    float64 pass runs once per kept point (``_kept_pass``): the Newton
-    step's gradients come from the same pass's activations, exact
-    because the point backward contracts over the point columns only.
+    ``gradient_fn``, at a fraction of its cost.  With ``iso_epsilon``
+    the extraction band and ``margin`` the screen's ``_screen_margin``,
+    which bounds the distance between the float32 and float64 passes'
+    values at any grid point, the decode runs four passes in order:
+
+    1. Range pass (``_live_grid_points``), where a box spans at least
+       ``_RANGE_MIN_SPAN`` grid points per axis (grid 64 and above):
+       float32 on every box, float64 on the few it keeps by less than
+       its rounding allowance, it drops the boxes whose finite bounds
+       on the exact output lie beyond ``t``, ``iso_epsilon + margin``
+       rounded up.  On the benchmark's decoder it rechecks 100-200 of
+       4096 boxes at grid 64 and drops the same boxes as a float64 pass
+       over all of them, in a little over half its time.  At every
+       point of a dropped box the float64 pass's value lies within
+       ``E64 = _forward_error_bound(.., float64)`` of the exact one,
+       hence beyond ``t - E64 >= iso_epsilon`` as ``margin >= E64``: no
+       dropped point is a candidate.
+    2. Screen: the float32 decoder (``_screen_field``) on the remaining
+       grid points, in grid order, keeping those whose value is not
+       finite or lies within ``iso_epsilon + margin``.  A point the
+       screen drops has a float64 value outside the band.
+    3. Kept pass: one float64 ``_FixedCode.evaluate`` on the kept
+       points, which gives their values and, from the same pass's
+       activations, their point gradients.  A row's value and gradient
+       do not depend on the call (see ``_FixedCode.evaluate``), so both
+       equal the whole grid's bit for bit.
+    4. ``newton_step`` on the points whose value lies within
+       ``iso_epsilon``.
+
     A code of the wrong length raises ``InvalidInputError`` before any
     pass runs.
     """
@@ -1031,14 +1023,11 @@ def reconstruct(
         live = _live_grid_points(
             params, z, grid_resolution, np.nextafter(iso_epsilon + margin, np.inf)
         )
-    field, gradient = _kept_pass(params, z, iso_epsilon)
-    pts = extract_surface_points(
-        field,
-        grid_resolution,
-        gradient_fn=gradient,
-        screen=(_screen_field(params, z), margin),
-        live=live,
-    )
+    pts, rough = evaluate_on_grid(_screen_field(params, z), grid_resolution, live)
+    pts = pts[~np.isfinite(rough) | (np.abs(rough) <= iso_epsilon + margin)]
+    values, grads = _FixedCode(params, z).evaluate(pts, with_grads=True)
+    cand = np.abs(values) <= iso_epsilon
+    pts = newton_step(pts[cand], values[cand], grads[cand], iso_epsilon)
     return PointCloud.from_points(pts, TAG_GENERATED)
 
 

@@ -358,10 +358,7 @@ def train_mirror_backend(data_dir, categories, seed: int, cfg: BenchConfig) -> P
         meta = _load_meta(inst_dir)
         mesh = load_obj(inst_dir / "mesh.obj")
         for v in range(meta["views"]):
-            observed, cam = load_view(inst_dir, v)
-            virtual = mirror.mirror_pose(cam, (0.0, 0.0, 0.0))
-            splat_and_mask = mirror.splat_into_view(observed, cam, virtual)
-            pairs.append((splat_and_mask, render_depth(mesh, virtual)))
+            pairs.append(mirror.training_pair(mesh, *load_view(inst_dir, v)))
     result = mirror.train_mirror_model(pairs, cfg.mirror_config(seed))
     models = Path(data_dir) / "models"
     models.mkdir(exist_ok=True)

@@ -271,10 +271,6 @@ class CameraModel:
 
     @property
     def position(self) -> np.ndarray:
-        return self.translation
-
-    @property
-    def translation(self) -> np.ndarray:
         return self.pose.translation
 
     def pixel_directions(self) -> np.ndarray:

@@ -4,12 +4,14 @@ Distances are exact: the KD-tree returns the same neighbor as an
 exhaustive scan (ties broken toward the lowest point index), and
 nearest distances, so chamfer and hausdorff, equal the quadratic
 difference-form scan (the least ``|a - b|^2`` summed over coordinates)
-bit for bit at every size.  Below ``_BRUTE_FORCE_PAIRS`` one kernel
-serves every size: a float32 BLAS product, in a frame centred on the
-two clouds, picks each query's nearest point, the float64 difference
-form gives its value, and queries whose two least products lie within
-a proven rounding margin settle among their candidates (see
-``_brute_nearest_sq``).
+bit for bit at every size.  One kernel serves every size: a float32
+BLAS product, in a frame centred on the two clouds, picks each query's
+nearest point, the float64 difference form gives its value, and
+queries whose two least products lie within a proven rounding margin
+settle among their candidates (see ``_brute_nearest_sq``).  The
+KD-tree is the exact reference that kernel is checked against; it is
+slower than the kernel at every size measured, up to 600 million
+pairs.
 """
 from __future__ import annotations
 
@@ -21,8 +23,6 @@ from .errors import InvalidInputError
 from .geometry import PointCloud, as_points
 
 _LEAF_SIZE = 16
-# above this many query*reference pairs the tree beats chunked brute force
-_BRUTE_FORCE_PAIRS = 500_000_000
 # pairs per brute-force block: small enough for the block's temporaries
 # to stay in cache
 _BRUTE_CHUNK = 131_072
@@ -326,10 +326,7 @@ def nearest_distances(queries, reference) -> np.ndarray:
     b = _cloud_points(reference)
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise InvalidInputError("nearest distances need non-empty clouds")
-    if a.shape[0] * b.shape[0] <= _BRUTE_FORCE_PAIRS:
-        return np.sqrt(_brute_nearest_sq(a, b))
-    _, dist = KdTree(b).nearest_many(a)
-    return dist
+    return np.sqrt(_brute_nearest_sq(a, b))
 
 
 def chamfer_hausdorff(cloud_a, cloud_b) -> tuple[float, float]:

@@ -470,17 +470,24 @@ def learned_completion(params: MirrorModelParams) -> CompletionFn:
     return completion
 
 
+def training_pair(
+    mesh: TriangleMesh, observed: DepthImage, cam: CameraModel
+) -> TrainingPair:
+    """One supervised example, ((splat, mask), target), from the view
+    ``observed`` through ``cam``: the target is the mesh rendered from
+    the mirror view, which reflects ``cam`` through the origin, as in
+    ``reconstruct_view_dependent``."""
+    virtual = mirror_pose(cam, (0.0, 0.0, 0.0))
+    return splat_into_view(observed, cam, virtual), render_depth(mesh, virtual)
+
+
 def make_training_pair(
     mesh: TriangleMesh, cam: CameraModel
 ) -> tuple[TrainingPair, DepthImage]:
-    """Render one supervised example: ((splat, mask), target) plus the
-    front view it came from.  The mirror view reflects ``cam`` through
-    the origin, as in ``reconstruct_view_dependent``."""
+    """Render the front view through ``cam`` and its ``training_pair``;
+    returns (pair, front view)."""
     observed = render_depth(mesh, cam)
-    virtual = mirror_pose(cam, (0.0, 0.0, 0.0))
-    splat, mask = splat_into_view(observed, cam, virtual)
-    target = render_depth(mesh, virtual)
-    return ((splat, mask), target), observed
+    return training_pair(mesh, observed, cam), observed
 
 
 def reconstruct_view_dependent(

@@ -26,6 +26,12 @@ of points to an (N,) array of signed distances; a mesh's field is
 ``lambda p: signed_distances(p, mesh)``.  ``GRID_RADIUS`` is the
 half-width of the decode grid's cube and the radius of the ball that
 training samples and inference's free-space samples fill.
+
+Surface extraction for any field is ``extract_surface_points``: the
+grid points within ``default_iso_epsilon`` of zero, each moved by one
+``newton_step``.  The decoder's grid decode (``autodecoder.reconstruct``)
+keeps the same band and step but computes its values in passes of its
+own.
 """
 from __future__ import annotations
 
@@ -339,59 +345,49 @@ def numeric_gradient(sdf_fn: SdfField, points: np.ndarray) -> np.ndarray:
     return grad
 
 
-def extract_surface_points(
-    sdf_fn: SdfField,
-    resolution: int,
-    gradient_fn: SdfGradient | None = None,
-    screen: tuple[SdfField, float] | None = None,
-    live: np.ndarray | None = None,
+def newton_step(
+    points: np.ndarray, values: np.ndarray, grads: np.ndarray, iso_epsilon: float
 ) -> np.ndarray:
-    """Grid points near the zero level set, refined one Newton step.
+    """Each point moved one Newton step toward the zero level set,
+    p <- p - sdf(p) * g / |g|^2, from its field value and gradient.
 
-    Grid points with |sdf| <= iso_epsilon, ``default_iso_epsilon(resolution)``,
-    are candidates; each moves by p <- p - sdf(p) * g / |g|^2 using as g
-    the field's analytic gradient when ``gradient_fn`` is given, else
-    central differences.
     The step is skipped where the gradient is numerically zero (flat
     fields stay put rather than shooting off), and its length is capped
     at iso_epsilon: a unit-gradient field never needs more, so longer
     steps only ever come from unreliable gradients.
-
-    ``screen``, when given, is a cheaper field and a margin that bounds
-    its distance from ``sdf_fn`` at every grid point.  The screen is
-    evaluated on the grid, and ``sdf_fn`` is called once, on the
-    points in grid order whose screen value lies within iso_epsilon plus
-    the margin or is not finite.  A dropped point has |sdf| > iso_epsilon,
-    so the result is the one the whole grid would give.
-
-    ``live``, when given, is a mask over the grid points in grid order
-    that is false only where |sdf| > iso_epsilon is known; neither field
-    is evaluated there, and the result is again the whole grid's.
     """
-    iso_epsilon = default_iso_epsilon(resolution)
-    if screen is None:
-        pts, vals = evaluate_on_grid(sdf_fn, resolution, live)
-    else:
-        screen_fn, margin = screen
-        pts, rough = evaluate_on_grid(screen_fn, resolution, live)
-        kept = ~np.isfinite(rough) | (np.abs(rough) <= iso_epsilon + margin)
-        pts = pts[kept]
-        vals = np.asarray(sdf_fn(pts), dtype=np.float64)
-    keep = np.abs(vals) <= iso_epsilon
-    cand = pts[keep]
-    if cand.shape[0] == 0:
-        return np.zeros((0, 3))
-    values = vals[keep]
-    if gradient_fn is None:
-        grad = numeric_gradient(sdf_fn, cand)
-    else:
-        grad = np.asarray(gradient_fn(cand), dtype=np.float64)
-    norm_sq = np.einsum("nk,nk->n", grad, grad)
+    norm_sq = np.einsum("nk,nk->n", grads, grads)
     movable = np.sqrt(norm_sq) >= GRADIENT_MIN_NORM
     scale = np.where(movable, values / np.where(movable, norm_sq, 1.0), 0.0)
-    step = -scale[:, None] * grad
+    step = -scale[:, None] * grads
     length = np.sqrt(np.einsum("nk,nk->n", step, step))
     over = length > iso_epsilon
     if np.any(over):
         step[over] *= (iso_epsilon / length[over])[:, None]
-    return cand + step
+    return points + step
+
+
+def extract_surface_points(
+    sdf_fn: SdfField, resolution: int, gradient_fn: SdfGradient | None = None
+) -> np.ndarray:
+    """Grid points near the zero level set of any field, refined one
+    Newton step (``newton_step``).
+
+    Grid points with |sdf| <= iso_epsilon, ``default_iso_epsilon(resolution)``,
+    are candidates; each steps along the field's analytic gradient when
+    ``gradient_fn`` is given, else along its central differences
+    (``numeric_gradient``).  That fallback stays for mesh fields (the
+    demo's and the tests'): ``signed_distances`` keeps no closest point,
+    so a mesh field has no analytic gradient to pass.
+    """
+    iso_epsilon = default_iso_epsilon(resolution)
+    pts, vals = evaluate_on_grid(sdf_fn, resolution)
+    keep = np.abs(vals) <= iso_epsilon
+    cand = pts[keep]
+    if cand.shape[0] == 0:
+        return np.zeros((0, 3))
+    if gradient_fn is None:
+        grad = numeric_gradient(sdf_fn, cand)
+    else:
+        grad = np.asarray(gradient_fn(cand), dtype=np.float64)
+    return newton_step(cand, vals[keep], grad, iso_epsilon)

@@ -24,7 +24,6 @@ from reconbench.autodecoder import (
     _affine_tanh,
     _beyond,
     _box_ranges,
-    _kept_pass,
     _live_grid_points,
     _range_allowance,
     _row_blocks,
@@ -902,6 +901,21 @@ def unscreened(params, z, res) -> np.ndarray:
     )
 
 
+def forward_rows(monkeypatch, dtype=np.float64) -> list[np.ndarray]:
+    """The points of every ``_FixedCode.forward`` block in ``dtype``
+    from now on, padding included."""
+    rows = []
+    forward = _FixedCode.forward
+
+    def counted(fixed, points, code_rows):
+        if fixed.dtype == dtype:
+            rows.append(points.copy())
+        return forward(fixed, points, code_rows)
+
+    monkeypatch.setattr(_FixedCode, "forward", counted)
+    return rows
+
+
 class TestScreen:
     def test_float32_tanh_within_assumed_error(self):
         # every float32 in +-[2**-12, 16): below, tanh(x) rounds to x or
@@ -967,23 +981,47 @@ class TestScreen:
         params = scaled_decoder(0, 1e4)
         z = np.zeros(16)
         assert _screen_margin(params, z) > 2.0 * GRID_RADIUS
-        rows = []
-        kept_pass = autodecoder._kept_pass
-
-        def counted(*args):
-            field, gradient = kept_pass(*args)
-
-            def counted_field(points):
-                rows.append(len(points))
-                return field(points)
-
-            return counted_field, gradient
-
-        monkeypatch.setattr(autodecoder, "_kept_pass", counted)
+        rows = forward_rows(monkeypatch)
         cloud = reconstruct(params, z, grid_resolution=16)
-        assert rows[0] == 16**3
         monkeypatch.undo()
+        assert sum(len(r) for r in rows) == 16**3
         assert np.array_equal(cloud.points, unscreened(params, z, 16))
+
+    def test_screen_passes_band_and_non_finite_points(self, monkeypatch):
+        # a NaN or inf screen value keeps its point; the float64 pass sees
+        # the band and the non-finite points only, in grid order, padded
+        # with zero rows to a whole row group, and the cloud is unchanged
+        params = spread_decoder()
+        _, z = product_decoder()
+        screen = autodecoder._screen_field
+
+        def poisoned(params, z):
+            field = screen(params, z)
+
+            def rough(p):
+                out = field(p)
+                out[::7] = np.nan
+                out[3::11] = np.inf
+                return out
+
+            return rough
+
+        monkeypatch.setattr(autodecoder, "_screen_field", poisoned)
+        rows = forward_rows(monkeypatch)
+        cloud = reconstruct(params, z, grid_resolution=32)
+        monkeypatch.undo()
+        grid, clean = evaluate_on_grid(_screen_field(params, z), 32)
+        _, values = evaluate_on_grid(poisoned(params, z), 32)
+        limit = default_iso_epsilon(32) + _screen_margin(params, z)
+        kept = ~np.isfinite(values) | (np.abs(values) <= limit)
+        # poisoned points the clean screen would drop
+        assert np.any(~np.isfinite(values) & (np.abs(clean) > limit))
+        assert kept.sum() < 0.6 * len(grid)
+        seen = np.concatenate(rows)
+        k = int(kept.sum())
+        assert len(seen) == -(-k // _ROW_ALIGN) * _ROW_ALIGN
+        assert np.array_equal(seen[:k], grid[kept]) and not np.any(seen[k:])
+        assert np.array_equal(cloud.points, unscreened(params, z, 32))
 
     @pytest.mark.parametrize("res", [16, 32, 64])
     def test_kept_values_equal_the_whole_grid_pass(self, res):
@@ -993,22 +1031,14 @@ class TestScreen:
         _, rough = evaluate_on_grid(_screen_field(params, z), res)
         kept = np.abs(rough) <= default_iso_epsilon(res) + _screen_margin(params, z)
         assert 0 < kept.sum() < 0.5 * len(pts)
-        values = _kept_pass(params, z, default_iso_epsilon(res))[0](pts[kept])
+        values = _FixedCode(params, z).evaluate(pts[kept])[0]
         assert np.array_equal(values, exact[kept])
 
     @pytest.mark.parametrize("res", [33, 64])
     def test_one_float64_forward_per_kept_point(self, res, monkeypatch):
         # at most the kept rows and their padding to a whole row group
         params, z = product_decoder()
-        rows = []
-        forward = _FixedCode.forward
-
-        def counted(fixed, points, code_rows):
-            if fixed.dtype == np.float64:
-                rows.append(len(points))
-            return forward(fixed, points, code_rows)
-
-        monkeypatch.setattr(_FixedCode, "forward", counted)
+        rows = forward_rows(monkeypatch)
         cloud = reconstruct(params, z, grid_resolution=res)
         monkeypatch.undo()
         _, rough = evaluate_on_grid(_screen_field(params, z), res)
@@ -1017,7 +1047,25 @@ class TestScreen:
             | (np.abs(rough) <= default_iso_epsilon(res) + _screen_margin(params, z))
         ))
         assert 0 < len(cloud) <= kept < res**3 // 2
-        assert sum(rows) <= kept + _ROW_ALIGN - 1
+        assert sum(len(r) for r in rows) <= kept + _ROW_ALIGN - 1
+
+    @pytest.mark.parametrize("res", [32, 64])
+    def test_field_beyond_the_band_decodes_to_no_points(self, res, monkeypatch):
+        # the fixture decoder lifted by 5 never reaches the band, so no
+        # row reaches the float64 pass; at grid 64 the range pass drops
+        # every box, and none reaches the screen either
+        params, _ = load_decoder(FIXTURE_DECODER)
+        biases = (*params.biases[:-1], params.biases[-1] + 5.0)
+        params = DecoderParams(params.latent_dim, params.weights, biases)
+        z = np.zeros(16)
+        screened = forward_rows(monkeypatch, np.float32)
+        rows = forward_rows(monkeypatch)
+        cloud = reconstruct(params, z, grid_resolution=res)
+        monkeypatch.undo()
+        assert cloud.points.shape == (0, 3) and cloud.points.dtype == np.float64
+        assert sum(len(r) for r in rows) == 0
+        assert sum(len(r) for r in screened) == (0 if res == 64 else res**3)
+        assert unscreened(params, z, res).shape == (0, 3)
 
     @pytest.mark.parametrize("res", [5, 7, 9, 16, 32, 33, 64, 65, 80])
     def test_reconstruct_equals_the_unscreened_pass(self, res, rng):

@@ -407,32 +407,9 @@ class TestExtraction:
         assert np.max(np.abs(np.linalg.norm(exact, axis=1) - 0.7)) <= 1e-12
         assert np.max(np.abs(exact - central)) <= 1e-6
 
-    def test_screen_passes_band_and_non_finite_points(self):
-        # the screen errs by less than its margin, so the result is the
-        # unscreened one; the field sees the band, NaN and inf points only
-        def rough(p):
-            out = box_sdf(p) + 0.01
-            out[::7] = np.nan
-            out[3::11] = np.inf
-            return out
-
-        seen = []
-
-        def field(p):
-            seen.append(p.copy())
-            return box_sdf(p)
-
-        pts = extract_surface_points(field, 16, screen=(rough, 0.02))
-        assert np.array_equal(pts, extract_surface_points(box_sdf, 16))
-        grid, values = evaluate_on_grid(rough, 16)
-        band = np.abs(values) <= default_iso_epsilon(16) + 0.02
-        assert np.array_equal(seen[0], grid[band | ~np.isfinite(values)])
-        assert len(seen[0]) < 0.6 * len(grid)
-
-    @pytest.mark.parametrize("screened", [False, True])
-    def test_live_mask_skips_points_outside_the_band(self, screened):
-        # the mask drops only points outside the band, so the result is
-        # the whole grid's; neither field sees a dropped point
+    def test_live_mask_skips_points_outside_the_band(self):
+        # the field sees the live points only, in grid order, and gives
+        # them the whole grid's values
         grid, values = evaluate_on_grid(box_sdf, 16)
         live = np.abs(values) <= default_iso_epsilon(16) + 0.05
         assert 0 < live.sum() < 0.5 * len(grid)
@@ -442,11 +419,9 @@ class TestExtraction:
             seen.append(p.copy())
             return box_sdf(p)
 
-        screen = (field, 0.0) if screened else None
-        pts = extract_surface_points(field, 16, screen=screen, live=live)
-        assert np.array_equal(pts, extract_surface_points(box_sdf, 16))
-        assert np.array_equal(seen[0], grid[live])
-        assert np.array_equal(evaluate_on_grid(box_sdf, 16, live)[1], values[live])
+        pts, live_values = evaluate_on_grid(field, 16, live)
+        assert np.array_equal(seen[0], grid[live]) and np.array_equal(pts, grid[live])
+        assert np.array_equal(live_values, values[live])
 
     def test_mesh_field_end_to_end(self, unit_sphere):
         pts = extract_surface_points(lambda p: signed_distances(p, unit_sphere), 32)
