@@ -21,6 +21,7 @@ from reconbench.sdf import (
     extract_surface_points,
     grid_axis,
     inside_mask,
+    newton_step,
     numeric_gradient,
     sample_training_set,
     signed_distances,
@@ -35,6 +36,18 @@ def box_sdf(points: np.ndarray, half: float = 0.5) -> np.ndarray:
     outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
     inside = np.minimum(q.max(axis=-1), 0.0)
     return outside + inside
+
+
+def box_gradient(points: np.ndarray, half: float = 0.5) -> np.ndarray:
+    """Analytic gradient of ``box_sdf``: the unit direction from the
+    nearest boundary point outside, the nearest face's normal inside."""
+    q = np.abs(points) - half
+    out = np.maximum(q, 0.0)
+    norm = np.linalg.norm(out, axis=1, keepdims=True)
+    face = np.zeros_like(points)
+    face[np.arange(len(points)), q.argmax(axis=1)] = 1.0
+    g = np.where(norm > 0, out / np.where(norm > 0, norm, 1.0), face)
+    return g * np.sign(points)
 
 
 class TestPointTriangleDistance:
@@ -407,9 +420,11 @@ class TestExtraction:
         assert np.max(np.abs(np.linalg.norm(exact, axis=1) - 0.7)) <= 1e-12
         assert np.max(np.abs(exact - central)) <= 1e-6
 
-    def test_live_mask_skips_points_outside_the_band(self):
+    @pytest.mark.parametrize("analytic", [False, True])
+    def test_live_mask_skips_points_outside_the_band(self, analytic):
         # the field sees the live points only, in grid order, and gives
-        # them the whole grid's values
+        # them the whole grid's values; stepping the live band gives the
+        # whole grid's surface, with either gradient
         grid, values = evaluate_on_grid(box_sdf, 16)
         live = np.abs(values) <= default_iso_epsilon(16) + 0.05
         assert 0 < live.sum() < 0.5 * len(grid)
@@ -422,6 +437,15 @@ class TestExtraction:
         pts, live_values = evaluate_on_grid(field, 16, live)
         assert np.array_equal(seen[0], grid[live]) and np.array_equal(pts, grid[live])
         assert np.array_equal(live_values, values[live])
+
+        gradient_fn = box_gradient if analytic else None
+        iso_epsilon = default_iso_epsilon(16)
+        band = np.abs(live_values) <= iso_epsilon
+        cand = pts[band]
+        grads = box_gradient(cand) if analytic else numeric_gradient(box_sdf, cand)
+        stepped = newton_step(cand, live_values[band], grads, iso_epsilon)
+        whole = extract_surface_points(box_sdf, 16, gradient_fn=gradient_fn)
+        assert np.array_equal(stepped, whole)
 
     def test_mesh_field_end_to_end(self, unit_sphere):
         pts = extract_surface_points(lambda p: signed_distances(p, unit_sphere), 32)
